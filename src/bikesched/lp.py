@@ -14,21 +14,26 @@ relaxation that satisfies every pickup row is optimal for the full LP, and a
 vertex of the relaxation that lies in the full region is a vertex of the full
 region, so the contract is unchanged.
 
-gmpy2's rationals are used inside the tableau when available (identical
-semantics to fractions.Fraction, roughly an order of magnitude faster).
+All arithmetic is exact ``fractions.Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .model import ProblemInstance, ScheduleMatrix
+from .model import (
+    ONE,
+    ZERO,
+    ProblemInstance,
+    ScheduleMatrix,
+    handovers,
+    structural_violations,
+)
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _Q = Fraction
+# The one arithmetic type; the benchmark prints this name as its backend.
+_Q = Fraction
 
 # Below this many pickup rows the LP is solved in one shot.
 _LAZY_THRESHOLD = 40
@@ -57,12 +62,16 @@ class PartitionLP:
         """Coefficients over x of pickup row r, as "picker time - dropper time"
         at the handover boundary (feasible when >= 0)."""
         picker, dropper, col = self.switches[r]
-        return tuple(
-            (self.speed_rows[picker][k] - self.speed_rows[dropper][k])
-            if k < col
-            else Fraction(0)
-            for k in range(self.n)
-        )
+        p, d = self.speed_rows[picker], self.speed_rows[dropper]
+        return tuple(p[k] - d[k] for k in range(col)) + (ZERO,) * (self.n - col)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Every inequality as a row a over (x, tau) with a . (x, tau) >= 0:
+        tau - t_i for each agent, then each pickup row with no tau term."""
+        agents = tuple(tuple(-c for c in row) + (ONE,) for row in self.speed_rows)
+        pickups = tuple(self.switch_coeffs(r) + (ZERO,) for r in range(len(self.switches)))
+        return agents + pickups
 
 
 def build_lp(matrix: ScheduleMatrix, inst: ProblemInstance) -> PartitionLP:
@@ -71,31 +80,10 @@ def build_lp(matrix: ScheduleMatrix, inst: ProblemInstance) -> PartitionLP:
     Rejects matrices with a bike ridden twice in one column or appearing out
     of nowhere; those have no feasible partition at all.
     """
-    cols = matrix.columns()
-    for j, col in enumerate(cols):
-        riders: dict[int, int] = {}
-        for i, label in enumerate(col):
-            if label == 0:
-                continue
-            if label in riders:
-                raise ValueError(
-                    f"bike {label} ridden by agents {riders[label] + 1} and "
-                    f"{i + 1} in column {j + 1}"
-                )
-            riders[label] = i
-            if j > 0 and label not in cols[j - 1]:
-                raise ValueError(
-                    f"bike {label} appears in column {j + 1} without being "
-                    f"ridden in column {j}"
-                )
-    switches = []
-    for j in range(1, matrix.size):
-        for i, label in enumerate(cols[j]):
-            if label != 0:
-                dropper = cols[j - 1].index(label)
-                if dropper != i:
-                    switches.append((i, dropper, j))
-    return PartitionLP(matrix.size, matrix.induced_speeds(inst), tuple(switches))
+    broken = structural_violations(matrix)
+    if broken:
+        raise ValueError(f"no partition makes this matrix feasible: {broken}")
+    return PartitionLP(matrix.size, matrix.induced_speeds(inst), handovers(matrix))
 
 
 def solve_partition(
@@ -110,100 +98,84 @@ def solve_partition(
 
 
 def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
-    speed_q = [[_Q(c.numerator, c.denominator) for c in row] for row in lp.speed_rows]
     total = len(lp.switches)
     if total <= _LAZY_THRESHOLD:
         active = list(range(total))
-        x, tau = _simplex(lp, speed_q, active)
+        x, tau = _simplex(lp, active)
     else:
         active = []
         while True:
-            x, tau = _simplex(lp, speed_q, active)
-            violated = _violated_switches(lp, speed_q, active, x)
+            x, tau = _simplex(lp, active)
+            violated = _violated_switches(lp, active, x)
             if not violated:
                 break
             active.extend(violated)
-    frac = [Fraction(int(v.numerator), int(v.denominator)) for v in x]
-    return tuple(frac[: lp.n]), Fraction(int(tau.numerator), int(tau.denominator))
+    return tuple(x[: lp.n]), tau
 
 
-def _violated_switches(lp, speed_q, active, x):
+def _dot(row, v) -> Fraction:
+    return sum((a * b for a, b in zip(row, v) if a != 0), ZERO)
+
+
+def _violated_switches(lp, active, x):
     active_set = set(active)
-    out = []
-    for r, (picker, dropper, col) in enumerate(lp.switches):
-        if r in active_set:
-            continue
-        gap = _Q(0)
-        for k in range(col):
-            gap += (speed_q[picker][k] - speed_q[dropper][k]) * x[k]
-        if gap < 0:
-            out.append(r)
-    return out
+    m = lp.agents
+    return [
+        r
+        for r in range(len(lp.switches))
+        if r not in active_set and _dot(lp.rows[m + r], x) < 0
+    ]
 
 
-def _simplex(lp, speed_q, active):
+def _simplex(lp, active):
     """Two-phase simplex on: min tau, tau >= t_i, picker >= dropper rows in
-    ``active``, sum x = 1, x >= 0.  Returns Q-valued (x..tau vector, tau)."""
-    zero, one = _Q(0), _Q(1)
+    ``active``, sum x = 1, x >= 0.  Returns (x..tau vector, tau)."""
     n, m = lp.n, lp.agents
     n_ineq = m + len(active)
-    n_rows = n_ineq + 1
     tau_col = n
     n_struct = n + 1  # x variables plus tau
     art_col = n_struct + n_ineq
     n_cols = art_col + 1
 
     rows: list[list] = []
-    # tau >= t_i  ->  t_i - tau + slack = 0
-    for i in range(m):
-        row = [zero] * (n_cols + 1)
-        for j in range(n):
-            row[j] = speed_q[i][j]
-        row[tau_col] = -one
-        row[n_struct + i] = one
-        rows.append(row)
-    # picker arrives on time: dropper time - picker time + slack = 0
-    for idx, r in enumerate(active):
-        picker, dropper, col = lp.switches[r]
-        row = [zero] * (n_cols + 1)
-        for k in range(col):
-            row[k] = speed_q[dropper][k] - speed_q[picker][k]
-        row[n_struct + m + idx] = one
+    # a . (x, tau) >= 0  ->  -a . (x, tau) + slack = 0
+    for idx, r in enumerate(list(range(m)) + [m + a for a in active]):
+        row = [-c for c in lp.rows[r]] + [ZERO] * (n_cols + 1 - n_struct)
+        row[n_struct + idx] = ONE
         rows.append(row)
     # sum x = 1 with one artificial
-    row = [zero] * (n_cols + 1)
+    row = [ZERO] * (n_cols + 1)
     for j in range(n):
-        row[j] = one
-    row[art_col] = one
-    row[-1] = one
+        row[j] = ONE
+    row[art_col] = ONE
+    row[-1] = ONE
     rows.append(row)
 
     basis = list(range(n_struct, n_struct + n_ineq)) + [art_col]
 
     # Phase 1: drive the artificial to zero.
-    cost = [zero] * n_cols
-    cost[art_col] = one
+    cost = [ZERO] * n_cols
+    cost[art_col] = ONE
     value = _pivot_until_optimal(rows, basis, cost, n_cols, banned=())
     assert value == 0, "partition LP must always be feasible"
     if art_col in basis:
         _pivot_out(rows, basis, art_col, n_struct + n_ineq)
 
     # Phase 2: minimize tau, never re-entering the artificial.
-    cost = [zero] * n_cols
-    cost[tau_col] = one
+    cost = [ZERO] * n_cols
+    cost[tau_col] = ONE
     _pivot_until_optimal(rows, basis, cost, n_cols, banned=(art_col,))
 
-    solution = [zero] * n_cols
+    solution = [ZERO] * n_cols
     for r, b in enumerate(basis):
         solution[b] = rows[r][-1]
     return solution, solution[tau_col]
 
 
 def _pivot_until_optimal(rows, basis, cost, n_cols, banned):
-    zero = _Q(0)
     # Reduced costs: z_j = c_j - sum over basic rows of c_basic * row_j.
     z = list(cost)
-    value = zero
+    value = ZERO
     for r, b in enumerate(basis):
         cb = cost[b]
         if cb != 0:
@@ -220,7 +192,7 @@ def _pivot_until_optimal(rows, basis, cost, n_cols, banned):
     while True:
         enter = -1
         if degenerate_streak < bland_after:
-            most = zero
+            most = ZERO
             for j in range(n_cols):
                 if z[j] < most and j not in banned:
                     most = z[j]
@@ -299,74 +271,25 @@ def vertex_from_point(
     """
     n = lp.n
     width = n + 1
-    zero, one = _Q(0), _Q(1)
-    v = [_Q(c.numerator, c.denominator) for c in x]
-    v.append(_Q(tau.numerator, tau.denominator))
-
-    # Constraint rows a with a . v >= 0 (the simplex equality is handled as a
-    # permanently tight row); x_j >= 0 is handled implicitly as coordinates.
-    speed_q = [[_Q(c.numerator, c.denominator) for c in row] for row in lp.speed_rows]
-    rows: list[list] = []
-    for i in range(lp.agents):
-        rows.append([-c for c in speed_q[i]] + [one])
-    for picker, dropper, col in lp.switches:
-        row = [
-            (speed_q[picker][k] - speed_q[dropper][k]) if k < col else zero
-            for k in range(n)
-        ]
-        row.append(zero)
-        rows.append(row)
-
-    # Fully reduced echelon of the tight rows: pivot column -> row with a
-    # leading 1 there and zeros in every other pivot column.
-    echelon: dict[int, list] = {}
-
-    def absorb(row):
-        row = list(row)
-        for col, piv in echelon.items():
-            f = row[col]
-            if f != 0:
-                row = [a - f * b for a, b in zip(row, piv)]
-        lead = next((c for c in range(width) if row[c] != 0), None)
-        if lead is None:
-            return
-        inv = one / row[lead]
-        row = [a * inv for a in row]
-        for col, piv in echelon.items():
-            f = piv[lead]
-            if f != 0:
-                echelon[col] = [a - f * b for a, b in zip(piv, row)]
-        echelon[lead] = row
-
-    def unit_row(j):
-        row = [zero] * width
-        row[j] = one
-        return row
-
-    absorb([one] * n + [zero])  # sum x = 1
-    values = [sum((a * b for a, b in zip(row, v)), zero) for row in rows]
-    for r, val in enumerate(values):
-        if val == 0:
-            absorb(rows[r])
-    for j in range(n):
-        if v[j] == 0:
-            absorb(unit_row(j))
+    rows = lp.rows
+    v = list(x) + [tau]
+    echelon, values = _tight_echelon(lp, v)
 
     while len(echelon) < width:
         free = next(c for c in range(width) if c not in echelon)
-        d = [zero] * width
-        d[free] = one
+        d = [ZERO] * width
+        d[free] = ONE
         for col, piv in echelon.items():
             d[col] = -piv[free]
         if d[n] > 0:
             d = [-a for a in d]
-        slopes = [zero] * len(rows)
+        slopes = [ZERO] * len(rows)
         for _attempt in (0, 1):
             step = None
             hit_rows: list[int] = []
             hit_units: list[int] = []
             for r, row in enumerate(rows):
-                slope = zero
+                slope = ZERO
                 for a, b in zip(row, d):
                     if a != 0 and b != 0:
                         slope += a * b
@@ -391,12 +314,56 @@ def vertex_from_point(
         v = [a + step * b for a, b in zip(v, d)]
         values = [val + step * sl for val, sl in zip(values, slopes)]
         for r in hit_rows:
-            absorb(rows[r])
+            _absorb(echelon, rows[r])
         for j in hit_units:
-            absorb(unit_row(j))
+            _absorb(echelon, _unit_row(j, width))
 
-    frac = [Fraction(int(a.numerator), int(a.denominator)) for a in v]
-    return tuple(frac[:n]), frac[n]
+    return tuple(v[:n]), v[n]
+
+
+def _tight_echelon(lp: PartitionLP, v: list[Fraction]) -> tuple[dict[int, list], list]:
+    """The echelon of every constraint tight at ``v`` = (x, tau), and the
+    value of each row of ``lp.rows`` there.  The simplex equality sum x = 1 is
+    a permanently tight row; x_j >= 0 is tight through a unit row when
+    x_j = 0."""
+    n = lp.n
+    echelon: dict[int, list] = {}
+    _absorb(echelon, [ONE] * n + [ZERO])  # sum x = 1
+    values = [_dot(row, v) for row in lp.rows]
+    for row, val in zip(lp.rows, values):
+        if val == 0:
+            _absorb(echelon, row)
+    for j in range(n):
+        if v[j] == 0:
+            _absorb(echelon, _unit_row(j, n + 1))
+    return echelon, values
+
+
+def _absorb(echelon: dict[int, list], row) -> None:
+    """Add a row to a fully reduced echelon, which maps each pivot column to
+    a row with a leading 1 there and zeros in every other pivot column.  A
+    row dependent on the echelon leaves it unchanged."""
+    row = list(row)
+    for col, piv in echelon.items():
+        f = row[col]
+        if f != 0:
+            row = [a - f * b for a, b in zip(row, piv)]
+    lead = next((c for c, a in enumerate(row) if a != 0), None)
+    if lead is None:
+        return
+    inv = ONE / row[lead]
+    row = [a * inv for a in row]
+    for col, piv in echelon.items():
+        f = piv[lead]
+        if f != 0:
+            echelon[col] = [a - f * b for a, b in zip(piv, row)]
+    echelon[lead] = row
+
+
+def _unit_row(j: int, width: int) -> list[Fraction]:
+    row = [ZERO] * width
+    row[j] = ONE
+    return row
 
 
 def tight_constraint_rank(
@@ -407,22 +374,8 @@ def tight_constraint_rank(
     The solution is a basic feasible solution (vertex) exactly when this rank
     equals the variable count n + 1.
     """
-    n = lp.n
-    tight: list[list[Fraction]] = [[Fraction(1)] * n + [Fraction(0)]]  # sum x = 1
-    for j in range(n):
-        if x[j] == 0:
-            row = [Fraction(0)] * (n + 1)
-            row[j] = Fraction(1)
-            tight.append(row)
-    for i in range(lp.agents):
-        t_i = sum((lp.speed_rows[i][j] * x[j] for j in range(n)), Fraction(0))
-        if t_i == tau:
-            tight.append([-c for c in lp.speed_rows[i]] + [Fraction(1)])
-    for r in range(len(lp.switches)):
-        coeffs = lp.switch_coeffs(r)
-        if sum((c * xj for c, xj in zip(coeffs, x)), Fraction(0)) == 0:
-            tight.append(list(coeffs) + [Fraction(0)])
-    return _rank(tight)
+    echelon, _values = _tight_echelon(lp, list(x) + [tau])
+    return len(echelon)
 
 
 def is_vertex(lp: PartitionLP, x: tuple[Fraction, ...], tau: Fraction) -> bool:
@@ -435,34 +388,7 @@ def satisfies_all_constraints(
     """Exact feasibility of ``(x, tau)`` for the full constraint system."""
     if len(x) != lp.n or any(xj < 0 for xj in x):
         return False
-    if sum(x, Fraction(0)) != 1:
+    if sum(x, ZERO) != 1:
         return False
-    for row in lp.speed_rows:
-        if sum((c * xj for c, xj in zip(row, x)), Fraction(0)) > tau:
-            return False
-    for r in range(len(lp.switches)):
-        coeffs = lp.switch_coeffs(r)
-        if sum((c * xj for c, xj in zip(coeffs, x)), Fraction(0)) < 0:
-            return False
-    return True
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    n_cols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while col < n_cols and rank < len(rows):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                f = rows[r][col] / lead
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    v = list(x) + [tau]
+    return all(_dot(row, v) >= 0 for row in lp.rows)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .rational import RationalLike, to_fraction
 
@@ -292,6 +292,55 @@ def completion_profile(s: Schedule, inst: ProblemInstance) -> CompletionProfile:
     return CompletionProfile(tuple(partial), final, max(final))
 
 
+def pickups(prev_col: Sequence[int], col: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Every bike handover between two consecutive columns, as 0-based
+    ``(picker, dropper)`` rows in picker order.
+
+    The picker rides a bike in ``col`` that the dropper -- the first agent
+    riding it in ``prev_col`` -- rode just before.  Walkers, bikes absent
+    from ``prev_col`` and riders keeping their own bike are skipped, so
+    malformed columns are read without error.
+    """
+    first: dict[int, int] = {}
+    for row, label in enumerate(prev_col):
+        first.setdefault(label, row)
+    for picker, label in enumerate(col):
+        if label != 0:
+            dropper = first.get(label)
+            if dropper is not None and dropper != picker:
+                yield picker, dropper
+
+
+def handovers(matrix: ScheduleMatrix) -> tuple[tuple[int, int, int], ...]:
+    """Every bike handover of a matrix as a 0-based ``(picker, dropper,
+    column)`` triple, column by column: the picker takes, at the start of
+    ``column``, the bike the dropper rode in ``column - 1``."""
+    cols = matrix.columns()
+    return tuple(
+        (picker, dropper, j)
+        for j in range(1, len(cols))
+        for picker, dropper in pickups(cols[j - 1], cols[j])
+    )
+
+
+def structural_violations(matrix: ScheduleMatrix) -> list[Violation]:
+    """The violations of conditions 1 and 2, which no partition can repair,
+    in column-major order."""
+    cols = matrix.columns()
+    violations: list[Violation] = []
+    for j, col in enumerate(cols):
+        seen: set[int] = set()
+        for i, label in enumerate(col):
+            if label == 0:
+                continue
+            if label in seen:
+                violations.append(Violation(2, i + 1, j + 1))
+            seen.add(label)
+            if j > 0 and label not in cols[j - 1]:
+                violations.append(Violation(1, i + 1, j + 1))
+    return violations
+
+
 def check_feasible(s: Schedule, inst: ProblemInstance) -> FeasibilityReport:
     """Report every feasibility violation of a schedule (empty report = feasible).
 
@@ -306,27 +355,14 @@ def check_feasible(s: Schedule, inst: ProblemInstance) -> FeasibilityReport:
             f"matrix uses bike label {matrix.max_label()} but instance has "
             f"{inst.bikes} bikes"
         )
-    profile = completion_profile(s, inst)
-    violations: list[Violation] = []
-    cols = matrix.columns()
-    for j in range(matrix.size):
-        seen: dict[int, int] = {}
-        for i, label in enumerate(cols[j]):
-            if label == 0:
-                continue
-            if label in seen:
-                violations.append(Violation(2, i + 1, j + 1))
-            else:
-                seen[label] = i
-            if j > 0:
-                if label not in cols[j - 1]:
-                    violations.append(Violation(1, i + 1, j + 1))
-                else:
-                    dropper = cols[j - 1].index(label)
-                    if dropper != i and (
-                        profile.partial[dropper][j - 1] > profile.partial[i][j - 1]
-                    ):
-                        violations.append(Violation(3, i + 1, j + 1))
+    partial = completion_profile(s, inst).partial
+    violations = structural_violations(matrix)
+    violations += (
+        Violation(3, picker + 1, col + 1)
+        for picker, dropper, col in handovers(matrix)
+        if partial[dropper][col - 1] > partial[picker][col - 1]
+    )
+    violations.sort(key=lambda v: (v.column, v.agent))
     return FeasibilityReport(tuple(violations))
 
 

@@ -22,6 +22,8 @@ from .model import (
     ScheduleMatrix,
     check_feasible,
     completion_profile,
+    handovers,
+    pickups,
 )
 
 ZERO = Fraction(0)
@@ -77,29 +79,32 @@ def standardize(
                             pending[i] += w
                         reach[i] += w
             continue
-        if out_cols:
-            # Resolve swap-switches against the last kept column before
-            # deciding whether this column is redundant.
-            i = 0
-            while i < m:
-                lab = labels[i][j]
-                if lab != 0 and lab != out_cols[-1][i]:
-                    dropper = out_cols[-1].index(lab)
-                    if reach[i] == reach[dropper]:
-                        swaps += 1
-                        for col in range(j, n):
-                            labels[i][col], labels[dropper][col] = (
-                                labels[dropper][col],
-                                labels[i][col],
-                            )
-                            if waits is not None:
-                                waits[i][col], waits[dropper][col] = (
-                                    waits[dropper][col],
-                                    waits[i][col],
-                                )
-                        continue  # re-examine row i with its new suffix
-                i += 1
-        column = tuple(labels[i][j] for i in range(m))
+        # Resolve swap-switches against the last kept column before deciding
+        # whether this column is redundant.  A swap gives the dropper's row
+        # the bike it already rode and changes no other row above the
+        # picker, so each rescan resumes at the picker's row.
+        column = tuple(row[j] for row in labels)
+        while out_cols:
+            ties = [
+                (picker, dropper)
+                for picker, dropper in pickups(out_cols[-1], column)
+                if reach[picker] == reach[dropper]
+            ]
+            if not ties:
+                break
+            swaps += 1
+            picker, dropper = ties[0]
+            for col in range(j, n):
+                labels[picker][col], labels[dropper][col] = (
+                    labels[dropper][col],
+                    labels[picker][col],
+                )
+                if waits is not None:
+                    waits[picker][col], waits[dropper][col] = (
+                        waits[dropper][col],
+                        waits[picker][col],
+                    )
+            column = tuple(row[j] for row in labels)
         col_d = [waits[i][j] for i in range(m)] if waits is not None else [ZERO] * m
         if out_cols and column == out_cols[-1]:
             merged += 1
@@ -146,14 +151,11 @@ def is_standard_form(s: Schedule, inst: ProblemInstance) -> bool:
     for j in range(1, s.size):
         if cols[j] == cols[j - 1]:
             return False
-    profile = completion_profile(s, inst)
-    for j in range(1, s.size):
-        for i, lab in enumerate(cols[j]):
-            if lab != 0 and cols[j - 1][i] != lab:
-                dropper = cols[j - 1].index(lab)
-                if profile.partial[dropper][j - 1] == profile.partial[i][j - 1]:
-                    return False
-    return True
+    partial = completion_profile(s, inst).partial
+    return all(
+        partial[picker][col - 1] != partial[dropper][col - 1]
+        for picker, dropper, col in handovers(s.matrix)
+    )
 
 
 def reduce_schedule(
@@ -201,7 +203,7 @@ def reduce_schedule(
                     f"reduced schedule has size {sched.size} > {inst.agents} agents"
                 )
             return sched
-        measure = (matrix.size, len(build_lp(matrix, inst).switches))
+        measure = (matrix.size, len(handovers(matrix)))
         if prev_measure is not None and measure >= prev_measure:
             raise AssertionError("reduction stopped making progress")
         prev_measure = measure

@@ -75,14 +75,12 @@ def schedule_svg(sched: Schedule) -> str:
     # Cumulative ridden distance per bike, to place abandonment markers.
     usage: dict[int, Fraction] = {}
     last_rider: dict[int, int] = {}
-    pos = Fraction(0)
     for j in range(n):
         for i in range(m):
             label = sched.matrix.rows[i][j]
             if label != 0:
                 usage[label] = usage.get(label, Fraction(0)) + sched.partition[j]
                 last_rider[label] = i
-        pos += sched.partition[j]
 
     for i in range(m):
         y = _MARGIN_Y + i * (_LANE + _GAP)

@@ -25,6 +25,8 @@ from .model import (
     ScheduleMatrix,
     check_feasible,
     completion_profile,
+    handovers,
+    structural_violations,
 )
 from .normalize import is_standard_form, standardize
 
@@ -38,30 +40,13 @@ def switch_matrix(matrix: ScheduleMatrix) -> tuple[tuple[int, ...], ...]:
     ``matrix[i][j]`` in column j-1 when agent i takes it over at column j,
     and 0 when agent i is not picking up (walking, continuing, or j = 0).
     """
-    cols = matrix.columns()
-    for j, col in enumerate(cols):
-        riders: set[int] = set()
-        for i, label in enumerate(col):
-            if label == 0:
-                continue
-            if label in riders:
-                raise ValueError(f"bike {label} has two riders in column {j + 1}")
-            riders.add(label)
-            if j > 0 and label not in cols[j - 1]:
-                raise ValueError(
-                    f"bike {label} appears from nowhere in column {j + 1}"
-                )
-    out = []
-    for i in range(matrix.agents):
-        row = []
-        for j in range(matrix.size):
-            label = matrix.rows[i][j]
-            if j > 0 and label != 0 and cols[j - 1][i] != label:
-                row.append(cols[j - 1].index(label) + 1)
-            else:
-                row.append(0)
-        out.append(tuple(row))
-    return tuple(out)
+    broken = structural_violations(matrix)
+    if broken:
+        raise ValueError(f"no partition makes this matrix feasible: {broken}")
+    out = [[0] * matrix.size for _ in range(matrix.agents)]
+    for picker, dropper, col in handovers(matrix):
+        out[picker][col] = dropper + 1
+    return tuple(map(tuple, out))
 
 
 def remove_one_wait(
@@ -113,10 +98,7 @@ def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
         raise ValueError(f"cannot remove waits from an infeasible schedule: {report.violations}")
     before = completion_profile(s, inst).makespan
     positives = sum(1 for row in s.waits for w in row if w != 0)
-    handovers = sum(
-        1 for row in switch_matrix(s.matrix) for entry in row if entry != 0
-    )
-    cap = 2 * (positives + handovers + s.size) + 16
+    cap = 2 * (positives + len(handovers(s.matrix)) + s.size) + 16
     current = s
     for _ in range(cap):
         current, _ = standardize(current, inst)

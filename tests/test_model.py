@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -10,10 +11,13 @@ from bikesched import (
     ScheduleMatrix,
     abandonment_vector,
     average_bound,
+    build_lp,
     check_feasible,
     completion_profile,
+    is_standard_form,
     one_abandonment_bound,
     scale,
+    switch_matrix,
 )
 from conftest import random_feasible_schedule, random_instance
 
@@ -130,6 +134,126 @@ class TestFeasibility:
         inst = ProblemInstance(2, (F(1, 2), F(1, 2)))
         sched = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((1, 2), (2, 1))))
         assert check_feasible(sched, inst).ok
+
+
+def reference_reading(s, inst):
+    """Handovers and violations read straight off the matrix, cell by cell.
+
+    The dropper of a pickup is the first agent riding the bike in the
+    previous column; when that agent is the rider, the bike is kept, not
+    handed over.  Returns ``(handovers, violations)``: 0-based ``(picker,
+    dropper, column)`` and 1-based ``(condition, agent, column)`` triples,
+    both in column-major order.
+    """
+    rows = s.matrix.rows
+    m, n = s.agents, s.size
+    partial = completion_profile(s, inst).partial
+    handovers, violations = [], []
+    for j in range(n):
+        for i in range(m):
+            label = rows[i][j]
+            if label == 0:
+                continue
+            if any(rows[r][j] == label for r in range(i)):
+                violations.append((2, i + 1, j + 1))
+            if j == 0:
+                continue
+            riders = [r for r in range(m) if rows[r][j - 1] == label]
+            if not riders:
+                violations.append((1, i + 1, j + 1))
+            elif riders[0] != i:
+                handovers.append((i, riders[0], j))
+                if partial[riders[0]][j - 1] > partial[i][j - 1]:
+                    violations.append((3, i + 1, j + 1))
+    return handovers, violations
+
+
+class TestHandoverContract:
+    def test_all_three_conditions_in_one_matrix(self):
+        # Column 2: agent 2 picks up bike 1 before agent 1 (who waited) drops
+        # it, agent 3 rides bike 1 as well and also picks up early, and bike 3
+        # comes from nowhere.  Column 3: agents 1 and 2 both ride bike 1, and
+        # agent 4 takes bike 2 from agent 1 too early.
+        inst = ProblemInstance(4, (F(1, 4), F(1, 2), F(3, 4)))
+        waits = ((F(1), F(0), F(0)),) + ((F(0), F(0), F(0)),) * 3
+        sched = Schedule(
+            (F(1, 4), F(1, 4), F(1, 2)),
+            ScheduleMatrix(((1, 2, 1), (2, 1, 1), (0, 1, 0), (0, 3, 2))),
+            waits,
+        )
+        report = check_feasible(sched, inst)
+        assert [(v.condition, v.agent, v.column) for v in report.violations] == [
+            (3, 2, 2),
+            (2, 3, 2),
+            (3, 3, 2),
+            (1, 4, 2),
+            (2, 2, 3),
+            (3, 4, 3),
+        ]
+
+    def test_random_matrices_match_reference_reading(self):
+        rng = random.Random(0x4A4D)
+        malformed = 0
+        for _ in range(2000):
+            m = rng.randint(1, 4)
+            b = rng.randint(0, m)
+            n = rng.randint(1, 4)
+            inst = ProblemInstance(
+                m, tuple(F(rng.randint(1, 5), 6) for _ in range(b))
+            )
+            # Columns that permute their predecessor carry handovers; fresh
+            # random columns bring bikes from nowhere and second riders.
+            cols = [[rng.randint(0, b) for _ in range(m)]]
+            for _ in range(n - 1):
+                col = list(cols[-1])
+                if rng.random() < 0.6:
+                    rng.shuffle(col)
+                else:
+                    col = [rng.randint(0, b) for _ in range(m)]
+                cols.append(col)
+            rows = tuple(tuple(col[i] for col in cols) for i in range(m))
+            partition = tuple(F(rng.randint(0, 3), 4) for _ in range(n))
+            waits = None
+            if rng.random() < 0.5:
+                waits = tuple(
+                    tuple(F(rng.choice((0, 0, 1, 2)), 8) for _ in range(n))
+                    for _ in range(m)
+                )
+            sched = Schedule(partition, ScheduleMatrix(rows), waits)
+            handovers, violations = reference_reading(sched, inst)
+
+            report = check_feasible(sched, inst)
+            assert [
+                (v.condition, v.agent, v.column) for v in report.violations
+            ] == violations
+
+            if any(v[0] in (1, 2) for v in violations):
+                malformed += 1
+                with pytest.raises(ValueError):
+                    build_lp(sched.matrix, inst)
+                with pytest.raises(ValueError):
+                    switch_matrix(sched.matrix)
+                continue
+            assert build_lp(sched.matrix, inst).switches == tuple(handovers)
+            expected = [[0] * n for _ in range(m)]
+            for picker, dropper, column in handovers:
+                expected[picker][column] = dropper + 1
+            assert switch_matrix(sched.matrix) == tuple(map(tuple, expected))
+
+            partial = completion_profile(sched, inst).partial
+            standard = (
+                all(x != 0 for x in partition)
+                and all(
+                    sched.matrix.column(j) != sched.matrix.column(j - 1)
+                    for j in range(1, n)
+                )
+                and all(
+                    partial[picker][column - 1] != partial[dropper][column - 1]
+                    for picker, dropper, column in handovers
+                )
+            )
+            assert is_standard_form(sched, inst) == standard
+        assert 500 < malformed < 1500
 
 
 class TestScale:
