@@ -2,11 +2,19 @@
 
 For a fixed matrix M the best partition solves a small LP: minimize the
 makespan tau subject to tau >= t_i for every agent, a pickup-ordering row for
-every bike handover, x_j >= 0 and sum x_j = 1.  The solver below is a dense
-two-phase simplex over exact rationals with Bland's anti-cycling rule, so it
-always terminates at an optimal *vertex* of the feasible region -- the schedule
-reduction argument counts tight constraints at a vertex, so returning any old
-optimal point would not do.
+every bike handover, x_j >= 0 and sum x_j = 1.  The solver below is a
+two-phase tableau simplex over exact rationals with Bland's anti-cycling rule,
+so it always terminates at an optimal *vertex* of the feasible region -- the
+schedule reduction argument counts tight constraints at a vertex, so returning
+any old optimal point would not do.  The tableau carries its objective row as
+its last row (reduced costs, then minus the objective value), so a pivot
+updates it like any other row.
+
+``_pivot`` is the one Gauss-Jordan step, and ``_reduce`` the one row
+reduction against a set of pivot rows.  The simplex prices its objective rows
+with ``_reduce`` and pivots with ``_pivot``; the echelon of tight constraints
+behind ``vertex_from_point`` and ``tight_constraint_rank`` is a tableau too,
+grown one reduced row and one ``_pivot`` at a time.
 
 Large matrices are handled by constraint generation: pickup rows are added
 lazily, only when the current solution violates them.  A solution of the
@@ -154,17 +162,17 @@ def _simplex(lp, active):
     basis = list(range(n_struct, n_struct + n_ineq)) + [art_col]
 
     # Phase 1: drive the artificial to zero.
-    cost = [ZERO] * n_cols
-    cost[art_col] = ONE
-    value = _pivot_until_optimal(rows, basis, cost, n_cols, banned=())
-    assert value == 0, "partition LP must always be feasible"
+    rows.append(_objective_row(rows, basis, art_col, n_cols))
+    _pivot_until_optimal(rows, basis, n_cols, banned=())
+    objective = rows.pop()
+    assert objective[-1] == 0, "partition LP must always be feasible"
     if art_col in basis:
         _pivot_out(rows, basis, art_col, n_struct + n_ineq)
 
     # Phase 2: minimize tau, never re-entering the artificial.
-    cost = [ZERO] * n_cols
-    cost[tau_col] = ONE
-    _pivot_until_optimal(rows, basis, cost, n_cols, banned=(art_col,))
+    rows.append(_objective_row(rows, basis, tau_col, n_cols))
+    _pivot_until_optimal(rows, basis, n_cols, banned=(art_col,))
+    rows.pop()
 
     solution = [ZERO] * n_cols
     for r, b in enumerate(basis):
@@ -172,23 +180,24 @@ def _simplex(lp, active):
     return solution, solution[tau_col]
 
 
-def _pivot_until_optimal(rows, basis, cost, n_cols, banned):
-    # Reduced costs: z_j = c_j - sum over basic rows of c_basic * row_j.
-    z = list(cost)
-    value = ZERO
-    for r, b in enumerate(basis):
-        cb = cost[b]
-        if cb != 0:
-            row = rows[r]
-            for j in range(n_cols):
-                if row[j] != 0:
-                    z[j] -= cb * row[j]
-            value += cb * row[-1]
+def _objective_row(rows, basis, col, n_cols):
+    """The objective row for minimizing variable ``col``: its reduced costs,
+    then minus the objective value in the last entry."""
+    row = [ZERO] * (n_cols + 1)
+    row[col] = ONE
+    _reduce(row, rows, basis)
+    return row
+
+
+def _pivot_until_optimal(rows, basis, n_cols, banned):
+    """Pivot until no reduced cost in the objective row ``rows[-1]`` is
+    negative; the rows above it are the constraint rows of ``basis``."""
+    z = rows[-1]
     # Dantzig's rule stalls less than Bland's on these highly degenerate
     # tableaus, but does not exclude cycling; after a long degenerate streak
     # we fall back to Bland's rule, which provably terminates.
     degenerate_streak = 0
-    bland_after = 8 * (len(rows) + n_cols)
+    bland_after = 8 * (len(basis) + n_cols)
     while True:
         enter = -1
         if degenerate_streak < bland_after:
@@ -203,10 +212,11 @@ def _pivot_until_optimal(rows, basis, cost, n_cols, banned):
                     enter = j
                     break
         if enter < 0:
-            return value
+            return
         leave = -1
         best = None
-        for r, row in enumerate(rows):
+        for r in range(len(basis)):
+            row = rows[r]
             a = row[enter]
             if a > 0:
                 ratio = row[-1] / a
@@ -216,15 +226,11 @@ def _pivot_until_optimal(rows, basis, cost, n_cols, banned):
         assert leave >= 0, "partition LP is never unbounded"
         degenerate_streak = 0 if best > 0 else degenerate_streak + 1
         _pivot(rows, basis, leave, enter)
-        ze = z[enter]
-        piv_row = rows[leave]
-        for j in range(n_cols):
-            if piv_row[j] != 0:
-                z[j] -= ze * piv_row[j]
-        value += ze * piv_row[-1]
 
 
 def _pivot(rows, basis, leave, enter):
+    """Gauss-Jordan step: scale ``rows[leave]`` to a 1 in column ``enter``
+    and clear that column from every other row, objective row included."""
     piv_row = rows[leave]
     p = piv_row[enter]
     if p != 1:
@@ -241,6 +247,17 @@ def _pivot(rows, basis, leave, enter):
             for j, a in nonzero:
                 row[j] -= f * a
     basis[leave] = enter
+
+
+def _reduce(row, rows, pivots) -> None:
+    """Clear every pivot column from ``row`` in place; ``rows[r]`` has a 1 in
+    column ``pivots[r]`` and a 0 in every other pivot column."""
+    for piv_row, col in zip(rows, pivots):
+        f = row[col]
+        if f != 0:
+            for j, a in enumerate(piv_row):
+                if a != 0:
+                    row[j] -= f * a
 
 
 def _pivot_out(rows, basis, col, width):
@@ -273,14 +290,14 @@ def vertex_from_point(
     width = n + 1
     rows = lp.rows
     v = list(x) + [tau]
-    echelon, values = _tight_echelon(lp, v)
+    echelon, pivots, values = _tight_echelon(lp, v)
 
     while len(echelon) < width:
-        free = next(c for c in range(width) if c not in echelon)
+        free = next(c for c in range(width) if c not in pivots)
         d = [ZERO] * width
         d[free] = ONE
-        for col, piv in echelon.items():
-            d[col] = -piv[free]
+        for piv_row, col in zip(echelon, pivots):
+            d[col] = -piv_row[free]
         if d[n] > 0:
             d = [-a for a in d]
         slopes = [ZERO] * len(rows)
@@ -314,50 +331,44 @@ def vertex_from_point(
         v = [a + step * b for a, b in zip(v, d)]
         values = [val + step * sl for val, sl in zip(values, slopes)]
         for r in hit_rows:
-            _absorb(echelon, rows[r])
+            _absorb(echelon, pivots, rows[r])
         for j in hit_units:
-            _absorb(echelon, _unit_row(j, width))
+            _absorb(echelon, pivots, _unit_row(j, width))
 
     return tuple(v[:n]), v[n]
 
 
-def _tight_echelon(lp: PartitionLP, v: list[Fraction]) -> tuple[dict[int, list], list]:
-    """The echelon of every constraint tight at ``v`` = (x, tau), and the
-    value of each row of ``lp.rows`` there.  The simplex equality sum x = 1 is
-    a permanently tight row; x_j >= 0 is tight through a unit row when
-    x_j = 0."""
+def _tight_echelon(lp: PartitionLP, v: list[Fraction]) -> tuple[list, list, list]:
+    """The echelon of every constraint tight at ``v`` = (x, tau) as its rows
+    and their pivot columns, and the value of each row of ``lp.rows`` there.
+    The simplex equality sum x = 1 is a permanently tight row; x_j >= 0 is
+    tight through a unit row when x_j = 0."""
     n = lp.n
-    echelon: dict[int, list] = {}
-    _absorb(echelon, [ONE] * n + [ZERO])  # sum x = 1
+    echelon: list[list] = []
+    pivots: list[int] = []
+    _absorb(echelon, pivots, [ONE] * n + [ZERO])  # sum x = 1
     values = [_dot(row, v) for row in lp.rows]
     for row, val in zip(lp.rows, values):
         if val == 0:
-            _absorb(echelon, row)
+            _absorb(echelon, pivots, row)
     for j in range(n):
         if v[j] == 0:
-            _absorb(echelon, _unit_row(j, n + 1))
-    return echelon, values
+            _absorb(echelon, pivots, _unit_row(j, n + 1))
+    return echelon, pivots, values
 
 
-def _absorb(echelon: dict[int, list], row) -> None:
-    """Add a row to a fully reduced echelon, which maps each pivot column to
-    a row with a leading 1 there and zeros in every other pivot column.  A
-    row dependent on the echelon leaves it unchanged."""
+def _absorb(echelon: list[list], pivots: list[int], row) -> None:
+    """Add a row to a fully reduced echelon, whose row r has a leading 1 in
+    column ``pivots[r]`` and zeros in every other pivot column.  A row
+    dependent on the echelon leaves it unchanged."""
     row = list(row)
-    for col, piv in echelon.items():
-        f = row[col]
-        if f != 0:
-            row = [a - f * b for a, b in zip(row, piv)]
+    _reduce(row, echelon, pivots)
     lead = next((c for c, a in enumerate(row) if a != 0), None)
     if lead is None:
         return
-    inv = ONE / row[lead]
-    row = [a * inv for a in row]
-    for col, piv in echelon.items():
-        f = piv[lead]
-        if f != 0:
-            echelon[col] = [a - f * b for a, b in zip(piv, row)]
-    echelon[lead] = row
+    echelon.append(row)
+    pivots.append(lead)
+    _pivot(echelon, pivots, len(echelon) - 1, lead)
 
 
 def _unit_row(j: int, width: int) -> list[Fraction]:
@@ -374,7 +385,7 @@ def tight_constraint_rank(
     The solution is a basic feasible solution (vertex) exactly when this rank
     equals the variable count n + 1.
     """
-    echelon, _values = _tight_echelon(lp, list(x) + [tau])
+    echelon, _pivots, _values = _tight_echelon(lp, list(x) + [tau])
     return len(echelon)
 
 
