@@ -24,6 +24,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .model import (
+    ONE,
+    ZERO,
     TIGHT_AVERAGE,
     TIGHT_SLOWEST,
     BoundCertificate,
@@ -34,9 +36,6 @@ from .model import (
     completion_profile,
 )
 from .normalize import reduce_schedule
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)

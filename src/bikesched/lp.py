@@ -6,15 +6,15 @@ every bike handover, x_j >= 0 and sum x_j = 1.  The solver below is a
 two-phase tableau simplex over exact rationals with Bland's anti-cycling rule,
 so it always terminates at an optimal *vertex* of the feasible region -- the
 schedule reduction argument counts tight constraints at a vertex, so returning
-any old optimal point would not do.  The tableau carries its objective row as
-its last row (reduced costs, then minus the objective value), so a pivot
-updates it like any other row.
+any old optimal point would not do.
 
-``_pivot`` is the one Gauss-Jordan step, and ``_reduce`` the one row
-reduction against a set of pivot rows.  The simplex prices its objective rows
-with ``_reduce`` and pivots with ``_pivot``; the echelon of tight constraints
-behind ``vertex_from_point`` and ``tight_constraint_rank`` is a tableau too,
-grown one reduced row and one ``_pivot`` at a time.
+One kernel does all elimination.  ``_pivot`` is the Gauss-Jordan step; the
+tableau carries its objective row (reduced costs, then minus the objective
+value) as its last row, so a pivot updates it like any other row.
+``_reduce`` clears the pivot columns from a new row: it prices each phase's
+objective row, and reduces each row added to the echelon of tight constraints
+behind ``vertex_from_point`` and ``tight_constraint_rank``, which ``_pivot``
+then keeps fully reduced.
 
 Large matrices are handled by constraint generation: pickup rows are added
 lazily, only when the current solution violates them.  A solution of the
@@ -162,7 +162,9 @@ def _simplex(lp, active):
     basis = list(range(n_struct, n_struct + n_ineq)) + [art_col]
 
     # Phase 1: drive the artificial to zero.
-    rows.append(_objective_row(rows, basis, art_col, n_cols))
+    objective = _unit_row(art_col, n_cols + 1)
+    _reduce(objective, rows, basis)
+    rows.append(objective)
     _pivot_until_optimal(rows, basis, n_cols, banned=())
     objective = rows.pop()
     assert objective[-1] == 0, "partition LP must always be feasible"
@@ -170,7 +172,9 @@ def _simplex(lp, active):
         _pivot_out(rows, basis, art_col, n_struct + n_ineq)
 
     # Phase 2: minimize tau, never re-entering the artificial.
-    rows.append(_objective_row(rows, basis, tau_col, n_cols))
+    objective = _unit_row(tau_col, n_cols + 1)
+    _reduce(objective, rows, basis)
+    rows.append(objective)
     _pivot_until_optimal(rows, basis, n_cols, banned=(art_col,))
     rows.pop()
 
@@ -178,15 +182,6 @@ def _simplex(lp, active):
     for r, b in enumerate(basis):
         solution[b] = rows[r][-1]
     return solution, solution[tau_col]
-
-
-def _objective_row(rows, basis, col, n_cols):
-    """The objective row for minimizing variable ``col``: its reduced costs,
-    then minus the objective value in the last entry."""
-    row = [ZERO] * (n_cols + 1)
-    row[col] = ONE
-    _reduce(row, rows, basis)
-    return row
 
 
 def _pivot_until_optimal(rows, basis, n_cols, banned):
@@ -281,10 +276,10 @@ def vertex_from_point(
     so the makespan cannot grow) must eventually hit a slack constraint,
     because the partition simplex is bounded and the makespan is bounded
     below by the agents' times.  Each hit adds an independent tight row, so
-    at most n + 1 exact ratio steps reach a vertex; no pivoting, no stalling.
+    at most n + 1 exact ratio steps reach a vertex; no simplex, no stalling.
 
-    Used by the schedule reducer when the caller already knows an optimal
-    partition: the size argument only needs vertex-ness, not re-optimization.
+    Used by the schedule reducer in every round: the size argument only
+    needs vertex-ness, not re-optimization.
     """
     n = lp.n
     width = n + 1

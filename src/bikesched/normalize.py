@@ -5,8 +5,9 @@ no two consecutive identical columns, and no handover happening at exactly
 equal arrival times (a "swap-switch", removable by swapping the two agents'
 remaining schedules).  ``standardize`` rewrites any feasible schedule into
 standard form without changing any agent's completion time; ``reduce_schedule``
-alternates it with exact LP re-solves until the schedule is in standard form,
-which forces its size down to at most the number of agents.
+alternates it with slides of the partition to an LP vertex until the schedule
+is in standard form, which forces its size down to at most the number of
+agents.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional
 
 from .lp import build_lp, solve_partition, vertex_from_point
 from .model import (
+    ZERO,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
@@ -25,8 +27,6 @@ from .model import (
     handovers,
     pickups,
 )
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -165,34 +165,31 @@ def reduce_schedule(
 ) -> Schedule:
     """Shrink a matrix to an equally good schedule of size <= agent count.
 
-    Alternates a vertex-optimal partition with standardization until the pair
-    is in standard form.  At a vertex, a schedule larger than the agent count
+    Alternates standardization with sliding the partition to a vertex of
+    equal or better makespan (``vertex_from_point``) until the pair is in
+    standard form.  At a vertex, a schedule larger than the agent count
     always has a zero column or an equal-time handover, so each round
     strictly shrinks either the size or the handover count; the loop
     terminates, in standard form, at size <= agents, never increasing the
     makespan.
 
-    Without ``initial`` the partition comes from the exact LP each round.
-    With ``initial`` -- a feasible partition the caller already knows to be
-    optimal for the matrix (the solvers build such partitions directly) --
-    the LP is skipped entirely: the partition is slid to a vertex of equal
-    or better makespan instead, which is all the size argument needs.
+    ``initial`` is a feasible partition the caller already knows to be
+    optimal for the matrix (the solvers build such partitions directly).
+    Without it the partition comes from one exact LP solve; every later
+    round only slides to a vertex, which is all the size argument needs.
     """
-    warm: Optional[Schedule] = None
-    if initial is not None:
-        warm, _ = standardize(Schedule(tuple(initial), matrix), inst)
-        matrix = warm.matrix
+    if initial is None:
+        initial, _ = solve_partition(matrix, inst)
+    sched, _ = standardize(Schedule(tuple(initial), matrix), inst)
+    matrix = sched.matrix
     best_tau = None
     prev_measure = None
     while True:
-        if warm is None:
-            x, tau = solve_partition(matrix, inst)
-        else:
-            x, tau = vertex_from_point(
-                build_lp(matrix, inst),
-                warm.partition,
-                completion_profile(warm, inst).makespan,
-            )
+        x, tau = vertex_from_point(
+            build_lp(matrix, inst),
+            sched.partition,
+            completion_profile(sched, inst).makespan,
+        )
         if best_tau is not None and tau > best_tau:
             raise AssertionError("reduction increased the makespan")
         best_tau = tau
@@ -209,5 +206,3 @@ def reduce_schedule(
         prev_measure = measure
         sched, _ = standardize(sched, inst)
         matrix = sched.matrix
-        if warm is not None:
-            warm = sched

@@ -28,10 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .lp import solve_partition
-from .model import ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .model import ZERO, ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector
 
 
 class BudgetExceededError(ValueError):

@@ -15,7 +15,7 @@ RationalLike = int | str | Fraction
 def to_fraction(value: RationalLike) -> Fraction:
     """Convert a user-supplied value to an exact Fraction.
 
-    Accepts ints, Fractions, "p/q" strings and decimal strings.  Decimal
+    Accepts ints, Fractions, "p/q" strings and finite decimal strings.  Decimal
     strings are read as exact decimal fractions ("1.25" -> 5/4), never as
     binary floats.  Floats are rejected: they carry rounding error.
     """
@@ -38,9 +38,12 @@ def to_fraction(value: RationalLike) -> Fraction:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad rational literal {value!r}") from exc
         try:
-            return Fraction(Decimal(text))
+            number = Decimal(text)
         except InvalidOperation as exc:
             raise ValueError(f"bad rational literal {value!r}") from exc
+        if not number.is_finite():
+            raise ValueError(f"not a finite rational: {value!r}")
+        return Fraction(number)
     raise ValueError(f"not a rational value: {value!r}")
 
 

@@ -27,6 +27,8 @@ from .bs import (
     solve_sync_partition,
 )
 from .model import (
+    ONE,
+    ZERO,
     TIGHT_AVERAGE,
     TIGHT_ONE_ABANDONED,
     TIGHT_SECOND_SLOWEST,
@@ -38,9 +40,6 @@ from .model import (
     average_bound,
     one_abandonment_bound,
 )
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class UnsupportedAbandonmentError(ValueError):

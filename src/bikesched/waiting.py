@@ -17,8 +17,6 @@ standardization pass removes it entirely.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .model import (
     ProblemInstance,
     Schedule,
@@ -29,8 +27,6 @@ from .model import (
     structural_violations,
 )
 from .normalize import is_standard_form, standardize
-
-ZERO = Fraction(0)
 
 
 def switch_matrix(matrix: ScheduleMatrix) -> tuple[tuple[int, ...], ...]:

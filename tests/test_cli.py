@@ -94,6 +94,11 @@ class TestSolveCommand:
         write_json(p, {"agents": 2, "speeds": ["1"]})
         assert main(["solve", "--in", str(p), "--out", str(tmp_path / "x.json")]) == 2
 
+    def test_infinite_speed_exit_2(self, tmp_path):
+        p = tmp_path / "inf.json"
+        write_json(p, {"agents": 2, "speeds": ["Infinity"], "mode": "bs"})
+        assert main(["solve", "--in", str(p), "--out", str(tmp_path / "x.json")]) == 2
+
     def test_unsupported_limit_exit_3(self, tmp_path):
         p = tmp_path / "l2.json"
         write_json(
@@ -131,6 +136,11 @@ class TestVerifyCommand:
         printed = capsys.readouterr().out
         assert "feasible" in printed
         assert "not in standard form" in printed
+
+    def test_infinite_partition_exit_2(self, problem_bs, tmp_path):
+        sched = tmp_path / "s.json"
+        write_json(sched, {"partition": ["inf"], "matrix": [[1], [0]], "waits": None})
+        assert main(["verify", "--schedule", str(sched), "--problem", str(problem_bs)]) == 2
 
     def test_parse_failure_exit_2(self, problem_bs, tmp_path):
         bad = tmp_path / "nonsense.json"

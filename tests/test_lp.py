@@ -12,7 +12,7 @@ from bikesched import (
     solve_partition,
     tight_constraint_rank,
 )
-from bikesched.lp import satisfies_all_constraints
+from bikesched.lp import satisfies_all_constraints, vertex_from_point
 from conftest import random_full_matrix, random_instance
 
 TWO_ONE = ProblemInstance(2, (F(1, 2),))
@@ -173,3 +173,55 @@ class TestVertexContract:
         lp = build_lp(matrix, inst)
         assert satisfies_all_constraints(lp, lazy[0], lazy[1])
         assert is_vertex(lp, lazy[0], lazy[1])
+
+
+def _elimination_rank(rows) -> int:
+    """Rank by plain Fraction Gaussian elimination, independent of lp.py."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _tight_rows(lp, x, tau):
+    """sum x = 1, every constraint row with a . (x, tau) = 0, and a unit row
+    for every x_j = 0."""
+    v = list(x) + [tau]
+    n = lp.n
+    tight = [[F(1)] * n + [F(0)]]
+    tight += [row for row in lp.rows if sum(a * b for a, b in zip(row, v)) == 0]
+    tight += [[F(int(k == j)) for k in range(n + 1)] for j in range(n) if x[j] == 0]
+    return tight
+
+
+class TestTightRankOffVertices:
+    def test_rank_matches_elimination(self, rng):
+        below_full = 0
+        for _ in range(200):
+            inst = random_instance(rng, max_agents=4)
+            matrix = random_full_matrix(rng, inst, rng.randint(1, 4))
+            lp = build_lp(matrix, inst)
+            n = lp.n
+            x, tau = solve_partition(matrix, inst)
+            t = F(rng.randint(1, 3), 4)
+            blend = tuple(t * xj + (1 - t) * F(int(j == n - 1)) for j, xj in enumerate(x))
+            uniform = (F(1, n),) * n
+            points = [(x, tau)]
+            for p in (blend, uniform):
+                p_tau = completion_profile(Schedule(p, matrix), inst).makespan
+                points.append((p, p_tau))
+                if satisfies_all_constraints(lp, p, p_tau):
+                    points.append(vertex_from_point(lp, p, p_tau))
+            for px, ptau in points:
+                expected = _elimination_rank(_tight_rows(lp, px, ptau))
+                assert tight_constraint_rank(lp, px, ptau) == expected
+                below_full += expected < n + 1
+        assert below_full > 0

@@ -135,6 +135,23 @@ class TestReduce:
             assert check_feasible(red, inst).ok
             assert completion_profile(red, inst).makespan <= tau
 
+    def test_cold_reduction_solves_one_lp(self, monkeypatch):
+        import bikesched.normalize as nz
+
+        inst = ProblemInstance(5, (F(1, 2), F(51, 100), F(52, 100)))
+        ref = relay_reference(inst)
+        calls = []
+
+        def spy(matrix, inst_, _real=nz.solve_partition):
+            calls.append(matrix)
+            return _real(matrix, inst_)
+
+        monkeypatch.setattr(nz, "solve_partition", spy)
+        red = reduce_schedule(ref.matrix, inst)
+        assert len(calls) == 1
+        assert red.size <= inst.agents
+        assert completion_profile(red, inst).makespan == completion_profile(ref, inst).makespan
+
     def test_warm_start_agrees(self, rng):
         for _ in range(5):
             inst = random_instance(rng, max_agents=4)

@@ -1,11 +1,15 @@
-"""Every declared runtime dependency must be importable where the tests run.
+"""Every declared runtime dependency must be importable where the tests run,
+and the solvers must answer the same under ``python -O``.
 
 A dependency that cannot be installed leaves the code that needs it
-untested and the fallback that replaces it unnoticed.
+untested and the fallback that replaces it unnoticed.  ``-O`` strips every
+``assert``, so an assert with a side effect would change the answers.
 """
 
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,3 +34,39 @@ def test_declared_dependencies_import():
         except ImportError:
             missing.append(requirement)
     assert not missing, f"declared but not importable: {missing}"
+
+
+SMOKE = """
+from fractions import Fraction as F
+from bikesched import (
+    ProblemInstance, Schedule, ScheduleMatrix, brute_force_rbs, build_lp,
+    completion_profile, solve_bs, solve_partition, solve_rbs,
+)
+from bikesched.lp import vertex_from_point
+
+relay = ScheduleMatrix(((1, 1, 0), (2, 0, 1), (0, 2, 2)))
+pair = ProblemInstance(3, (F(1, 2), F(2, 3)))
+x, tau = solve_partition(relay, pair)
+start = ((x[0] + 1) / 2, x[1] / 2, x[2] / 2)
+start_tau = completion_profile(Schedule(start, relay), pair).makespan
+results = [
+    solve_bs(ProblemInstance(4, (F(1, 3), F(2, 5)))),
+    solve_rbs(ProblemInstance(3, (F(1, 2), F(9, 10)), abandonment_limit=1)),
+    (x, tau),
+    vertex_from_point(build_lp(relay, pair), start, start_tau),
+    brute_force_rbs(ProblemInstance(2, (F(1, 2), F(4, 5)), abandonment_limit=1)),
+]
+"""
+
+
+def test_optimized_mode_gives_same_answers():
+    namespace: dict = {}
+    exec(SMOKE, namespace)
+    src = str(Path(importlib.import_module("bikesched").__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", SMOKE + "print(__debug__)\nprint(repr(results))"],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out == ["False", repr(namespace["results"])]

@@ -22,7 +22,9 @@ def test_to_fraction(raw, expected):
     assert to_fraction(raw) == expected
 
 
-@pytest.mark.parametrize("raw", ["x", "1/0", "1/2/3", 1.25, True, None, "1.2.3"])
+@pytest.mark.parametrize(
+    "raw", ["x", "1/0", "1/2/3", 1.25, True, None, "1.2.3", "inf", "-Infinity", "nan"]
+)
 def test_to_fraction_rejects(raw):
     with pytest.raises(ValueError):
         to_fraction(raw)
