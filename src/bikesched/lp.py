@@ -3,24 +3,27 @@
 For a fixed matrix M the best partition solves a small LP: minimize the
 makespan tau subject to tau >= t_i for every agent, a pickup-ordering row for
 every bike handover, x_j >= 0 and sum x_j = 1.  The solver below is a
-two-phase tableau simplex over exact rationals with Bland's anti-cycling rule,
-so it always terminates at an optimal *vertex* of the feasible region -- the
-schedule reduction argument counts tight constraints at a vertex, so returning
-any old optimal point would not do.
+one-phase tableau simplex over exact rationals with Bland's rule (lowest-index
+entering column, lowest-index leaving basic variable on ratio ties), which
+cannot cycle (Bland 1977), so it always terminates at an optimal *vertex* of
+the feasible region -- the schedule reduction argument counts tight
+constraints at a vertex, so returning any old optimal point would not do.
+
+No phase 1 is needed, because one vertex is always feasible: all length in
+the last column, with tau the slowest agent's inverse speed there.  No pickup
+row has a last-column term, so that point meets each pickup row with
+equality, and two pivots reach its basis.  Every LP is solved in one shot
+with all of its pickup rows.
 
 One kernel does all elimination.  ``_pivot`` is the Gauss-Jordan step; the
 tableau carries its objective row (reduced costs, then minus the objective
-value) as its last row, so a pivot updates it like any other row.
-``_reduce`` clears the pivot columns from a new row: it prices each phase's
-objective row, and reduces each row added to the echelon of tight constraints
-behind ``vertex_from_point`` and ``tight_constraint_rank``, which ``_pivot``
-then keeps fully reduced.
+value) as its last row, so a pivot updates it like any other row, the two
+start pivots included.  ``_reduce`` clears the pivot columns from each row
+added to the echelon of tight constraints behind ``vertex_from_point`` and
+``tight_constraint_rank``, which ``_pivot`` then keeps fully reduced.
 
-Large matrices are handled by constraint generation: pickup rows are added
-lazily, only when the current solution violates them.  A solution of the
-relaxation that satisfies every pickup row is optimal for the full LP, and a
-vertex of the relaxation that lies in the full region is a vertex of the full
-region, so the contract is unchanged.
+A broken solver contract raises ``LPContractError``, never ``assert``, so
+the checks also run under ``python -O``.
 
 All arithmetic is exact ``fractions.Fraction`` arithmetic.
 """
@@ -43,8 +46,9 @@ from .model import (
 # The one arithmetic type; the benchmark prints this name as its backend.
 _Q = Fraction
 
-# Below this many pickup rows the LP is solved in one shot.
-_LAZY_THRESHOLD = 40
+
+class LPContractError(RuntimeError):
+    """A guarantee of the partition LP failed: a bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -106,111 +110,47 @@ def solve_partition(
 
 
 def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
-    total = len(lp.switches)
-    if total <= _LAZY_THRESHOLD:
-        active = list(range(total))
-        x, tau = _simplex(lp, active)
-    else:
-        active = []
-        while True:
-            x, tau = _simplex(lp, active)
-            violated = _violated_switches(lp, active, x)
-            if not violated:
-                break
-            active.extend(violated)
-    return tuple(x[: lp.n]), tau
+    """Minimize tau by Bland's rule from the final-column vertex.
 
-
-def _dot(row, v) -> Fraction:
-    return sum((a * b for a, b in zip(row, v) if a != 0), ZERO)
-
-
-def _violated_switches(lp, active, x):
-    active_set = set(active)
-    m = lp.agents
-    return [
-        r
-        for r in range(len(lp.switches))
-        if r not in active_set and _dot(lp.rows[m + r], x) < 0
-    ]
-
-
-def _simplex(lp, active):
-    """Two-phase simplex on: min tau, tau >= t_i, picker >= dropper rows in
-    ``active``, sum x = 1, x >= 0.  Returns (x..tau vector, tau)."""
+    Tableau columns: x, tau, one slack per agent row and per pickup row, then
+    the right-hand side.  A row a . (x, tau) >= 0 is written
+    -a . (x, tau) + slack = 0: s_i . x - tau + slack for agent i, and
+    -switch_coeffs . x + slack for a pickup row.  The last constraint row is
+    sum x = 1, and the objective row (min tau) comes after it.
+    """
     n, m = lp.n, lp.agents
-    n_ineq = m + len(active)
-    tau_col = n
-    n_struct = n + 1  # x variables plus tau
-    art_col = n_struct + n_ineq
-    n_cols = art_col + 1
-
+    n_ineq = m + len(lp.switches)
+    width = n + 1 + n_ineq + 1
     rows: list[list] = []
-    # a . (x, tau) >= 0  ->  -a . (x, tau) + slack = 0
-    for idx, r in enumerate(list(range(m)) + [m + a for a in active]):
-        row = [-c for c in lp.rows[r]] + [ZERO] * (n_cols + 1 - n_struct)
-        row[n_struct + idx] = ONE
+    for i, speeds in enumerate(lp.speed_rows):
+        row = [*speeds, -ONE] + [ZERO] * (n_ineq + 1)
+        row[n + 1 + i] = ONE
         rows.append(row)
-    # sum x = 1 with one artificial
-    row = [ZERO] * (n_cols + 1)
-    for j in range(n):
-        row[j] = ONE
-    row[art_col] = ONE
-    row[-1] = ONE
-    rows.append(row)
+    for r in range(len(lp.switches)):
+        row = [-c if c else c for c in lp.switch_coeffs(r)] + [ZERO] * (n_ineq + 2)
+        row[n + 1 + m + r] = ONE
+        rows.append(row)
+    rows.append([ONE] * n + [ZERO] * (n_ineq + 1) + [ONE])
+    rows.append(_unit_row(n, width))
+    basis = list(range(n + 1, n + 1 + n_ineq)) + [n - 1]
 
-    basis = list(range(n_struct, n_struct + n_ineq)) + [art_col]
+    # x_last enters the sum row; no pickup row has a last-column term, so only
+    # the agent rows change.  tau then enters the row of the agent slowest in
+    # the last column, which leaves every other agent row's slack >= 0.
+    _pivot(rows, basis, n_ineq, n - 1)
+    slowest = max(range(m), key=lambda i: lp.speed_rows[i][n - 1])
+    _pivot(rows, basis, slowest, n)
+    if any(rows[r][-1] < 0 for r in range(n_ineq + 1)):
+        raise LPContractError("the final-column start is not feasible")
 
-    # Phase 1: drive the artificial to zero.
-    objective = _unit_row(art_col, n_cols + 1)
-    _reduce(objective, rows, basis)
-    rows.append(objective)
-    _pivot_until_optimal(rows, basis, n_cols, banned=())
-    objective = rows.pop()
-    assert objective[-1] == 0, "partition LP must always be feasible"
-    if art_col in basis:
-        _pivot_out(rows, basis, art_col, n_struct + n_ineq)
-
-    # Phase 2: minimize tau, never re-entering the artificial.
-    objective = _unit_row(tau_col, n_cols + 1)
-    _reduce(objective, rows, basis)
-    rows.append(objective)
-    _pivot_until_optimal(rows, basis, n_cols, banned=(art_col,))
-    rows.pop()
-
-    solution = [ZERO] * n_cols
-    for r, b in enumerate(basis):
-        solution[b] = rows[r][-1]
-    return solution, solution[tau_col]
-
-
-def _pivot_until_optimal(rows, basis, n_cols, banned):
-    """Pivot until no reduced cost in the objective row ``rows[-1]`` is
-    negative; the rows above it are the constraint rows of ``basis``."""
     z = rows[-1]
-    # Dantzig's rule stalls less than Bland's on these highly degenerate
-    # tableaus, but does not exclude cycling; after a long degenerate streak
-    # we fall back to Bland's rule, which provably terminates.
-    degenerate_streak = 0
-    bland_after = 8 * (len(basis) + n_cols)
     while True:
-        enter = -1
-        if degenerate_streak < bland_after:
-            most = ZERO
-            for j in range(n_cols):
-                if z[j] < most and j not in banned:
-                    most = z[j]
-                    enter = j
-        else:
-            for j in range(n_cols):  # Bland: lowest eligible index
-                if z[j] < 0 and j not in banned:
-                    enter = j
-                    break
+        enter = next((j for j in range(width - 1) if z[j] < 0), -1)
         if enter < 0:
-            return
+            break
         leave = -1
         best = None
-        for r in range(len(basis)):
+        for r in range(n_ineq + 1):
             row = rows[r]
             a = row[enter]
             if a > 0:
@@ -218,9 +158,19 @@ def _pivot_until_optimal(rows, basis, n_cols, banned):
                 if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
                     best = ratio
                     leave = r
-        assert leave >= 0, "partition LP is never unbounded"
-        degenerate_streak = 0 if best > 0 else degenerate_streak + 1
+        if leave < 0:
+            raise LPContractError("the partition LP is unbounded")
         _pivot(rows, basis, leave, enter)
+
+    solution = [ZERO] * (n + 1)
+    for r, b in enumerate(basis):
+        if b <= n:
+            solution[b] = rows[r][-1]
+    return tuple(solution[:n]), solution[n]
+
+
+def _dot(row, v) -> Fraction:
+    return sum((a * b for a, b in zip(row, v) if a != 0), ZERO)
 
 
 def _pivot(rows, basis, leave, enter):
@@ -255,17 +205,6 @@ def _reduce(row, rows, pivots) -> None:
                     row[j] -= f * a
 
 
-def _pivot_out(rows, basis, col, width):
-    """Remove a zero-valued basic artificial after phase 1."""
-    r = basis.index(col)
-    for j in range(width):
-        if rows[r][j] != 0:
-            _pivot(rows, basis, r, j)
-            return
-    del rows[r]  # all-zero row: the equality was redundant
-    del basis[r]
-
-
 def vertex_from_point(
     lp: PartitionLP, x: tuple[Fraction, ...], tau: Fraction
 ) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -273,10 +212,11 @@ def vertex_from_point(
 
     While fewer than n + 1 independent constraints are tight, there is a
     direction that keeps every tight constraint tight; following it (oriented
-    so the makespan cannot grow) must eventually hit a slack constraint,
-    because the partition simplex is bounded and the makespan is bounded
-    below by the agents' times.  Each hit adds an independent tight row, so
-    at most n + 1 exact ratio steps reach a vertex; no simplex, no stalling.
+    so the makespan cannot grow) hits a slack constraint.  Every tight row
+    has slope 0 along it, so when it leaves x fixed a slack agent row blocks
+    it (tau falls), and otherwise some x_j > 0 shrinks.  Each hit adds an
+    independent tight row, so at most n + 1 exact ratio steps reach a
+    vertex; no simplex, no stalling.
 
     Used by the schedule reducer in every round: the size argument only
     needs vertex-ness, not re-optimization.
@@ -296,33 +236,30 @@ def vertex_from_point(
         if d[n] > 0:
             d = [-a for a in d]
         slopes = [ZERO] * len(rows)
-        for _attempt in (0, 1):
-            step = None
-            hit_rows: list[int] = []
-            hit_units: list[int] = []
-            for r, row in enumerate(rows):
-                slope = ZERO
-                for a, b in zip(row, d):
-                    if a != 0 and b != 0:
-                        slope += a * b
-                slopes[r] = slope
-                if slope < 0 and values[r] > 0:
-                    ratio = values[r] / -slope
-                    if step is None or ratio < step:
-                        step, hit_rows, hit_units = ratio, [r], []
-                    elif ratio == step:
-                        hit_rows.append(r)
-            for j in range(n):
-                if d[j] < 0 and v[j] > 0:
-                    ratio = v[j] / -d[j]
-                    if step is None or ratio < step:
-                        step, hit_rows, hit_units = ratio, [], [j]
-                    elif ratio == step:
-                        hit_units.append(j)
-            if step is not None:
-                break
-            d = [-a for a in d]  # flip once: some side always blocks
-        assert step is not None and step > 0
+        step = None
+        hit_rows: list[int] = []
+        hit_units: list[int] = []
+        for r, row in enumerate(rows):
+            slope = ZERO
+            for a, b in zip(row, d):
+                if a != 0 and b != 0:
+                    slope += a * b
+            slopes[r] = slope
+            if slope < 0 and values[r] > 0:
+                ratio = values[r] / -slope
+                if step is None or ratio < step:
+                    step, hit_rows, hit_units = ratio, [r], []
+                elif ratio == step:
+                    hit_rows.append(r)
+        for j in range(n):
+            if d[j] < 0 and v[j] > 0:
+                ratio = v[j] / -d[j]
+                if step is None or ratio < step:
+                    step, hit_rows, hit_units = ratio, [], [j]
+                elif ratio == step:
+                    hit_units.append(j)
+        if step is None or step <= 0:
+            raise LPContractError("nothing blocks the slide from a feasible point")
         v = [a + step * b for a, b in zip(v, d)]
         values = [val + step * sl for val, sl in zip(values, slopes)]
         for r in hit_rows:

@@ -3,16 +3,24 @@ from fractions import Fraction as F
 import pytest
 
 from bikesched import (
+    PartitionLP,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
+    average_bound,
     build_lp,
     completion_profile,
     is_vertex,
+    relay_reference,
     solve_partition,
     tight_constraint_rank,
 )
-from bikesched.lp import satisfies_all_constraints, vertex_from_point
+from bikesched.lp import (
+    LPContractError,
+    satisfies_all_constraints,
+    solve_lp,
+    vertex_from_point,
+)
 from conftest import random_full_matrix, random_instance
 
 TWO_ONE = ProblemInstance(2, (F(1, 2),))
@@ -157,22 +165,44 @@ class TestVertexContract:
             assert satisfies_all_constraints(lp, vx, vtau)
             assert is_vertex(lp, vx, vtau)
 
-    def test_lazy_path_matches_eager(self, rng):
-        import bikesched.lp as lp_mod
-
+    def test_many_handover_solution_is_a_vertex(self, rng):
         inst = ProblemInstance(6, tuple(F(k, k + 1) for k in range(1, 6)))
         matrix = random_full_matrix(rng, inst, 6)
-        eager = solve_partition(matrix, inst)
-        old = lp_mod._LAZY_THRESHOLD
-        lp_mod._LAZY_THRESHOLD = 0
-        try:
-            lazy = solve_partition(matrix, inst)
-        finally:
-            lp_mod._LAZY_THRESHOLD = old
-        assert eager[1] == lazy[1]
         lp = build_lp(matrix, inst)
-        assert satisfies_all_constraints(lp, lazy[0], lazy[1])
-        assert is_vertex(lp, lazy[0], lazy[1])
+        x, tau = solve_partition(matrix, inst)
+        assert satisfies_all_constraints(lp, x, tau)
+        assert is_vertex(lp, x, tau)
+
+
+class TestFinalColumnStart:
+    """The simplex starts from x = e_last with tau the slowest inverse speed
+    in the last column; that point must be feasible for every matrix."""
+
+    @staticmethod
+    def _start(lp):
+        x = (F(0),) * (lp.n - 1) + (F(1),)
+        return x, max(speeds[-1] for speeds in lp.speed_rows)
+
+    def test_random_full_matrices(self, rng):
+        for _ in range(300):
+            inst = random_instance(rng, max_agents=7)
+            lp = build_lp(random_full_matrix(rng, inst, rng.randint(1, 6)), inst)
+            assert satisfies_all_constraints(lp, *self._start(lp))
+
+    def test_reference_relays(self, rng):
+        checked = 0
+        while checked < 12:
+            inst = random_instance(rng, max_agents=6, min_agents=3)
+            if not inst.bikes or inst.slowest > average_bound(inst):
+                continue  # no relay, or no full-delivery relay exists
+            lp = build_lp(relay_reference(inst).matrix, inst)
+            assert satisfies_all_constraints(lp, *self._start(lp))
+            checked += 1
+
+    def test_infeasible_start_raises(self):
+        # A negative inverse speed puts tau below zero at the start.
+        with pytest.raises(LPContractError):
+            solve_lp(PartitionLP(1, ((F(-1),),), ()))
 
 
 def _elimination_rank(rows) -> int:
