@@ -14,6 +14,7 @@ certification on small instances.
 from .model import (
     BoundCertificate,
     CompletionProfile,
+    ContractError,
     FeasibilityReport,
     ProblemInstance,
     Schedule,
@@ -66,6 +67,7 @@ __all__ = [
     "BoundCertificate",
     "BudgetExceededError",
     "CompletionProfile",
+    "ContractError",
     "EnumerationBudget",
     "FeasibilityReport",
     "NestedColumn",

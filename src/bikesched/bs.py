@@ -29,11 +29,12 @@ from .model import (
     TIGHT_AVERAGE,
     TIGHT_SLOWEST,
     BoundCertificate,
+    ContractError,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
     average_bound,
-    completion_profile,
+    verify_answer,
 )
 from .normalize import reduce_schedule
 
@@ -107,7 +108,7 @@ def solve_sync_partition(
         else:
             z[c] = gap / rate
             if z[c] < 0:
-                raise AssertionError(f"negative interval length {z[c]} at {c}")
+                raise ContractError(f"negative interval length {z[c]} at {c}")
     return tuple(z)
 
 
@@ -227,7 +228,6 @@ def _build_relay(
     columns = _relay_columns(inst, blocks)
     unexp = unexpanded_partition(inst)
     total = sum(unexp.z, ZERO)
-    assert total > 0
     z = tuple(v / total for v in unexp.z)
     return expand_with_partition(z, columns)
 
@@ -248,7 +248,8 @@ def relay_reference(inst: ProblemInstance) -> Schedule:
         from .lp import solve_partition  # local import: lp does not need bs
 
         _, tau = solve_partition(sched.matrix, inst)
-        assert tau == average_bound(inst), "LP disagrees with the relay partition"
+        if tau != average_bound(inst):
+            raise ContractError("LP disagrees with the relay partition")
     return sched
 
 
@@ -272,23 +273,16 @@ def relay_schedule(inst: ProblemInstance) -> Schedule:
     m, b = inst.agents, inst.bikes
     if b == 0:
         return _walk_schedule(m)
-    for k in range(1, b + 1):
-        # Absorbing bike k into the group must keep the relay precondition.
-        assert inst.inverse_speeds[k - 1] <= average_bound(inst.sub_instance(k))
     table: list[Optional[Schedule]] = [None] * (b + 1)
     if m - b > 0:
         table[0] = _walk_schedule(m - b)
     for k in range(1, b + 1):
         sub = inst.sub_instance(k)
         raw = _build_relay(sub, lambda s, _t=table: _t[s.bikes])
-        assert raw.size <= m * b, "intermediate relay grew beyond the m*b bound"
+        if raw.size > m * b:
+            raise ContractError("intermediate relay grew beyond the m*b bound")
         table[k] = reduce_schedule(raw.matrix, sub, initial=raw.partition)
-        assert (
-            completion_profile(table[k], sub).makespan == average_bound(sub)
-        ), "reduced group schedule lost its optimal pace"
-    result = table[b]
-    assert result is not None
-    return result
+    return table[b]
 
 
 def solo_split(inst: ProblemInstance) -> int:
@@ -306,7 +300,6 @@ def solo_split(inst: ProblemInstance) -> int:
     for k in range(1, b):
         rest = ProblemInstance(m - k, u[: b - k])
         if u[b - k - 1] <= average_bound(rest):
-            assert average_bound(rest) <= inst.slowest
             return k
     raise ValueError("no valid solo split; instance violates the precondition")
 
@@ -326,6 +319,7 @@ def solve_bs(inst: ProblemInstance) -> tuple[Schedule, BoundCertificate]:
             average=t_avg,
             slowest=inst.inverse_speeds[-1] if b else None,
             tight=TIGHT_AVERAGE,
+            value=t_avg,
         )
     else:
         k = solo_split(inst)
@@ -337,6 +331,7 @@ def solve_bs(inst: ProblemInstance) -> tuple[Schedule, BoundCertificate]:
             shared.partition, ScheduleMatrix(shared.matrix.rows + solo_rows)
         )
         cert = BoundCertificate(
-            average=t_avg, slowest=inst.slowest, tight=TIGHT_SLOWEST
+            average=t_avg, slowest=inst.slowest, tight=TIGHT_SLOWEST, value=inst.slowest
         )
+    verify_answer(sched, inst, cert)
     return sched, cert

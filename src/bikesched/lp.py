@@ -22,8 +22,8 @@ start pivots included.  ``_reduce`` clears the pivot columns from each row
 added to the echelon of tight constraints behind ``vertex_from_point`` and
 ``tight_constraint_rank``, which ``_pivot`` then keeps fully reduced.
 
-A broken solver contract raises ``LPContractError``, never ``assert``, so
-the checks also run under ``python -O``.
+A broken solver contract raises ``LPContractError`` (a ``ContractError``),
+never ``assert``, so the checks also run under ``python -O``.
 
 All arithmetic is exact ``fractions.Fraction`` arithmetic.
 """
@@ -37,6 +37,7 @@ from functools import cached_property
 from .model import (
     ONE,
     ZERO,
+    ContractError,
     ProblemInstance,
     ScheduleMatrix,
     handovers,
@@ -47,7 +48,7 @@ from .model import (
 _Q = Fraction
 
 
-class LPContractError(RuntimeError):
+class LPContractError(ContractError):
     """A guarantee of the partition LP failed: a bug, not bad input."""
 
 

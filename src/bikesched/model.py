@@ -29,6 +29,10 @@ TIGHT_ONE_ABANDONED = "one-abandoned"
 TIGHT_SECOND_SLOWEST = "second-slowest-bike"
 
 
+class ContractError(RuntimeError):
+    """A bikesched guarantee failed: a bug, not bad input."""
+
+
 def _as_fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
     return tuple(to_fraction(v) for v in values)
 
@@ -250,12 +254,13 @@ class BoundCertificate:
     ``one_abandoned`` the relaxed bound when the slowest bike may be dropped
     (present only for relaxed solves), ``slowest`` the inverse speed of the
     slowest bike (None when there are no bikes).  ``tight`` names the bound
-    the schedule's makespan equals exactly.
+    the schedule's makespan equals exactly, and ``value`` is that makespan.
     """
 
     average: Fraction
     slowest: Optional[Fraction]
     tight: str
+    value: Fraction
     one_abandoned: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
@@ -349,13 +354,10 @@ def check_feasible(s: Schedule, inst: ProblemInstance) -> FeasibilityReport:
     than the previous rider's arrival at the handover point.  Waiting times,
     if present, are included in the arrival times used for condition 3.
     """
-    matrix = s.matrix
-    if matrix.max_label() > inst.bikes:
-        raise ValueError(
-            f"matrix uses bike label {matrix.max_label()} but instance has "
-            f"{inst.bikes} bikes"
-        )
-    partial = completion_profile(s, inst).partial
+    return FeasibilityReport(_violations(s.matrix, completion_profile(s, inst).partial))
+
+
+def _violations(matrix: ScheduleMatrix, partial) -> tuple[Violation, ...]:
     violations = structural_violations(matrix)
     violations += (
         Violation(3, picker + 1, col + 1)
@@ -363,7 +365,28 @@ def check_feasible(s: Schedule, inst: ProblemInstance) -> FeasibilityReport:
         if partial[dropper][col - 1] > partial[picker][col - 1]
     )
     violations.sort(key=lambda v: (v.column, v.agent))
-    return FeasibilityReport(tuple(violations))
+    return tuple(violations)
+
+
+def verify_answer(
+    s: Schedule, inst: ProblemInstance, cert: BoundCertificate, abandoned: tuple = ()
+) -> None:
+    """Raise ``ContractError`` unless a solver answer meets conditions 1-3,
+    has makespan ``cert.value``, and reports as ``abandoned`` exactly the
+    ``(bike, position)`` pairs of the bikes ridden less than the whole
+    interval, no more of them than the instance's abandonment limit."""
+    profile = completion_profile(s, inst)
+    broken = _violations(s.matrix, profile.partial)
+    if broken:
+        raise ContractError(f"solver answer is infeasible: {broken}")
+    if profile.makespan != cert.value:
+        raise ContractError(f"makespan {profile.makespan} is not the {cert.tight} bound")
+    usage = abandonment_vector(s, inst)
+    left = tuple((bike, y) for bike, y in enumerate(usage, start=1) if y < ONE)
+    if abandoned != left or len(left) > inst.abandonment_limit:
+        raise ContractError(
+            f"abandoned {abandoned} (limit {inst.abandonment_limit}), usage {usage}"
+        )
 
 
 def scale(s: Schedule, factor: RationalLike) -> Schedule:
@@ -441,8 +464,4 @@ def one_abandonment_bound(inst: ProblemInstance) -> tuple[Fraction, Fraction]:
         ProblemInstance(inst.agents, u[:-1])
     )  # average bound ignoring the slowest bike entirely
     y_star = (head - u1) / (ub - u1 + (ONE - ub) / inst.agents)
-    bound = u1 + y_star * (ub - u1)
-    # The crossing is exact: both competing bounds agree there.
-    assert bound == average_bound(inst, (ONE,) * (inst.bikes - 1) + (y_star,))
-    assert ZERO < y_star < ONE
-    return bound, y_star
+    return u1 + y_star * (ub - u1), y_star

@@ -28,7 +28,9 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .lp import solve_partition
-from .model import ZERO, ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector
+from .model import (
+    ZERO, ContractError, ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector
+)
 
 
 class BudgetExceededError(ValueError):
@@ -48,6 +50,10 @@ class EnumerationBudget:
     max_bikes: int = 3
     max_columns: Optional[int] = None
     prune: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_columns is not None and self.max_columns < 1:
+            raise ValueError(f"need at least one column, got {self.max_columns}")
 
     def check(self, inst: ProblemInstance) -> None:
         if inst.agents > self.max_agents or inst.bikes > self.max_bikes:
@@ -148,14 +154,13 @@ def _search(
             break  # families are bound-sorted: nothing later can win
         for matrix in _family_matrices(inst, family, placements):
             x, tau = solve_partition(matrix, inst)
-            if budget.prune:
-                assert tau >= family.bound, "family bound must be a lower bound"
+            if budget.prune and tau < family.bound:
+                raise ContractError("a family bound exceeds one of its makespans")
             if best_tau is None or tau < best_tau:
                 best_tau = tau
                 best = Schedule(x, matrix)
                 if budget.prune and best_tau <= family.bound:
                     break  # this family cannot do strictly better
-    assert best_tau is not None and best is not None
     return best_tau, best
 
 

@@ -16,7 +16,7 @@ Abandonment limits of two or more are an open problem and rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bs import (
@@ -29,7 +29,6 @@ from .bs import (
 from .model import (
     ONE,
     ZERO,
-    TIGHT_AVERAGE,
     TIGHT_ONE_ABANDONED,
     TIGHT_SECOND_SLOWEST,
     BoundCertificate,
@@ -39,6 +38,7 @@ from .model import (
     abandonment_vector,
     average_bound,
     one_abandonment_bound,
+    verify_answer,
 )
 
 
@@ -102,8 +102,6 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
 
     group_sizes = [walkers + q] + [walkers + q + c - 1 for c in range(1, intervals)]
     blocks: list[Schedule] = [relay_schedule(ProblemInstance(walkers + q, u[:q]))]
-    # The handover of the fastest bike to agent m at y* must be on time.
-    assert average_bound(ProblemInstance(walkers + q, u[:q])) <= inst.slowest
     for c in range(1, intervals):
         block = relay_schedule(ProblemInstance(group_sizes[c], u[1 : q + c - 1]))
         blocks.append(_relabeled(block, lambda lab: lab + 1))
@@ -142,18 +140,16 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
     z = solve_sync_partition([tuple(r) for r in paces], sync)
     total = sum(z, ZERO)
     z = tuple(v / total for v in z)
-    assert z[0] == y_star, "balance point must match the bound's crossing"
     sched = expand_with_partition(z, columns)
-
-    usage = abandonment_vector(sched, inst)
-    assert usage == (ONE,) * (b - 1) + (y_star,)
     cert = BoundCertificate(
         average=t_avg,
         slowest=inst.slowest,
         tight=TIGHT_ONE_ABANDONED,
+        value=t_one,
         one_abandoned=t_one,
     )
-    return RbsSolution(sched, usage, cert, ((b, y_star),))
+    verify_answer(sched, inst, cert, ((b, y_star),))
+    return RbsSolution(sched, abandonment_vector(sched, inst), cert, ((b, y_star),))
 
 
 def solo_split_relaxed(inst: ProblemInstance) -> int:
@@ -191,18 +187,10 @@ def solve_rbs(inst: ProblemInstance) -> RbsSolution:
         )
     m, b = inst.agents, inst.bikes
     u = inst.inverse_speeds
-    if limit == 0:
-        sched, cert = solve_bs(inst)
-        return RbsSolution(sched, (ONE,) * b, cert, ())
     t_avg = average_bound(inst)
-    if b == 0 or inst.slowest <= t_avg:
-        sched = relay_schedule(ProblemInstance(m, u))
-        cert = BoundCertificate(
-            average=t_avg,
-            slowest=inst.slowest if b else None,
-            tight=TIGHT_AVERAGE,
-            one_abandoned=t_avg,
-        )
+    if limit == 0 or b == 0 or inst.slowest <= t_avg:
+        sched, cert = solve_bs(inst)
+        cert = replace(cert, one_abandoned=t_avg) if limit else cert
         return RbsSolution(sched, (ONE,) * b, cert, ())
     t_one, _ = one_abandonment_bound(inst)
     if u[b - 2] <= t_one:
@@ -216,14 +204,13 @@ def solve_rbs(inst: ProblemInstance) -> RbsSolution:
     solo_rows = tuple((b - k + i,) * lifted.size for i in range(k))
     sched = Schedule(lifted.partition, ScheduleMatrix(lifted.matrix.rows + solo_rows))
     usage = abandonment_vector(sched, inst)
-    abandoned = tuple(
-        (bike + 1, pos) for bike, pos in enumerate(usage) if pos < ONE
-    )
-    assert len(abandoned) <= 1
+    abandoned = tuple((bike + 1, pos) for bike, pos in enumerate(usage) if pos < ONE)
     cert = BoundCertificate(
         average=t_avg,
         slowest=inst.slowest,
         tight=TIGHT_SECOND_SLOWEST,
+        value=u[b - 2],
         one_abandoned=t_one,
     )
+    verify_answer(sched, inst, cert, abandoned)
     return RbsSolution(sched, usage, cert, abandoned)

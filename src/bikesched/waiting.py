@@ -18,6 +18,7 @@ standardization pass removes it entirely.
 from __future__ import annotations
 
 from .model import (
+    ContractError,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
@@ -69,12 +70,13 @@ def remove_one_wait(
         dropper = switches[agent][j]
         if dropper != 0:
             d = min(d, profile.partial[agent][j - 1] - profile.partial[dropper - 1][j - 1])
-    assert d > 0
+    if d <= 0:
+        raise ContractError(f"no safe shrink of the wait at ({agent}, {column})")
     waits = [list(row) for row in s.waits]
     waits[agent][column] -= d
     result = Schedule(s.partition, s.matrix, tuple(tuple(r) for r in waits))
-    after = check_feasible(result, inst)
-    assert after.ok, f"wait shrink broke feasibility: {after.violations}"
+    if not check_feasible(result, inst):
+        raise ContractError("wait shrink broke feasibility")
     return result
 
 
@@ -111,7 +113,7 @@ def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
             break
         current = remove_one_wait(current, inst, *target)
     else:
-        raise RuntimeError("wait removal did not terminate within its cap")
-    after = completion_profile(current, inst).makespan
-    assert after <= before, "wait removal increased the makespan"
+        raise ContractError("wait removal did not terminate within its cap")
+    if completion_profile(current, inst).makespan > before:
+        raise ContractError("wait removal increased the makespan")
     return current.without_waits()

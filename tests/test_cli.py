@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bikesched import Schedule, ScheduleMatrix
+from bikesched import ContractError, Schedule, ScheduleMatrix
 from bikesched.cli import main
 from bikesched.serialize import (
     dump_schedule,
@@ -107,6 +107,16 @@ class TestSolveCommand:
         )
         assert main(["solve", "--in", str(p), "--out", str(tmp_path / "x.json")]) == 3
 
+    def test_contract_failure_exit_4(self, problem_bs, tmp_path, monkeypatch, capsys):
+        def broken(inst):
+            raise ContractError("solver broke a guarantee")
+
+        monkeypatch.setattr("bikesched.cli.solve_bs", broken)
+        out = tmp_path / "x.json"
+        assert main(["solve", "--in", str(problem_bs), "--out", str(out)]) == 4
+        assert not out.exists()
+        assert "solver broke a guarantee" in capsys.readouterr().err
+
     def test_solution_verifies(self, problem_rbs, tmp_path):
         out = tmp_path / "sched.json"
         main(["solve", "--in", str(problem_rbs), "--out", str(out)])
@@ -193,3 +203,9 @@ class TestOracleCommand:
     def test_budget_env(self, problem_rbs, monkeypatch, capsys):
         monkeypatch.setenv("BIKESCHED_ORACLE_MAX_AGENTS", "2")
         assert main(["oracle", "--in", str(problem_rbs)]) == 3
+
+    @pytest.mark.parametrize("columns", ["0", "-1"])
+    def test_empty_column_budget_exit_2(self, problem_rbs, monkeypatch, capsys, columns):
+        monkeypatch.setenv("BIKESCHED_ORACLE_MAX_COLUMNS", columns)
+        assert main(["oracle", "--in", str(problem_rbs)]) == 2
+        assert "at least one column" in capsys.readouterr().err

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bikesched import (
+    BoundCertificate,
+    ContractError,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
@@ -19,6 +21,8 @@ from bikesched import (
     scale,
     switch_matrix,
 )
+from bikesched.lp import LPContractError
+from bikesched.model import TIGHT_AVERAGE, verify_answer
 from conftest import random_feasible_schedule, random_instance
 
 TWO_ONE = ProblemInstance(2, (F(1, 2),))
@@ -304,6 +308,58 @@ class TestAbandonment:
         inst = ProblemInstance(2, (F(1, 2),))
         sched = Schedule((F(1, 4), F(3, 4)), ScheduleMatrix(((1, 0), (0, 0))))
         assert abandonment_vector(sched, inst) == (F(1, 4),)
+
+
+def certifying(sched, inst):
+    """A certificate naming the schedule's own makespan as its tight value."""
+    makespan = completion_profile(sched, inst).makespan
+    return BoundCertificate(average_bound(inst), None, TIGHT_AVERAGE, makespan)
+
+
+class TestVerifyAnswer:
+    """Each hand-broken answer trips exactly one of the verifier's checks."""
+
+    # Agent 1 rides the bike to 1/2 and leaves it there; agent 2 walks.
+    LEFT_BEHIND = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((1, 0), (0, 0))))
+
+    def test_sound_answer_passes(self):
+        verify_answer(RELAY_2, TWO_ONE, certifying(RELAY_2, TWO_ONE))
+
+    def test_infeasible(self):
+        sched = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((0, 1), (0, 0))))
+        with pytest.raises(ContractError, match="infeasible"):
+            verify_answer(sched, TWO_ONE, certifying(sched, TWO_ONE))
+
+    def test_wrong_makespan(self):
+        cert = BoundCertificate(F(3, 4), F(1, 2), TIGHT_AVERAGE, F(1))
+        with pytest.raises(ContractError, match="makespan 3/4 is not"):
+            verify_answer(RELAY_2, TWO_ONE, cert)
+
+    def test_full_delivery_answer_leaves_a_bike(self):
+        sched = self.LEFT_BEHIND
+        with pytest.raises(ContractError, match="abandoned"):
+            verify_answer(sched, TWO_ONE, certifying(sched, TWO_ONE))
+
+    def test_abandoned_disagrees_with_usage(self):
+        inst = ProblemInstance(2, (F(1, 2),), abandonment_limit=1)
+        sched = self.LEFT_BEHIND
+        verify_answer(sched, inst, certifying(sched, inst), ((1, F(1, 2)),))
+        with pytest.raises(ContractError, match="abandoned"):
+            verify_answer(sched, inst, certifying(sched, inst), ((1, F(1, 3)),))
+
+    def test_two_abandoned_under_limit_one(self):
+        inst = ProblemInstance(3, (F(1, 2), F(1, 2)), abandonment_limit=1)
+        sched = Schedule(
+            (F(1, 2), F(1, 2)), ScheduleMatrix(((1, 0), (2, 0), (0, 0)))
+        )
+        both = ((1, F(1, 2)), (2, F(1, 2)))
+        assert abandonment_vector(sched, inst) == (F(1, 2), F(1, 2))
+        with pytest.raises(ContractError, match="limit 1"):
+            verify_answer(sched, inst, certifying(sched, inst), both)
+
+    def test_lp_contract_is_a_contract(self):
+        assert issubclass(LPContractError, ContractError)
+        assert issubclass(ContractError, RuntimeError)
 
 
 class TestBounds:

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from bikesched import (
+    ContractError,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
@@ -12,6 +13,7 @@ from bikesched import (
     is_standard_form,
     reduce_schedule,
     relay_reference,
+    remove_all_waits,
     solve_partition,
     standardize,
 )
@@ -77,6 +79,39 @@ class TestStandardize:
         sched = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((0, 1), (0, 0))))
         with pytest.raises(ValueError):
             standardize(sched, TWO_ONE)
+
+    def test_checks_feasibility_once(self, monkeypatch):
+        # The input is checked; the output's handovers are checked in the
+        # same pass that writes them.
+        import bikesched.normalize as nz
+
+        calls = []
+
+        def spy(s, inst_, _real=nz.check_feasible):
+            calls.append(s)
+            return _real(s, inst_)
+
+        monkeypatch.setattr(nz, "check_feasible", spy)
+        sched = Schedule(
+            (F(1, 2), F(0), F(1, 2)), ScheduleMatrix(((1, 1, 0), (0, 0, 1)))
+        )
+        standardize(sched, TWO_ONE)
+        assert calls == [sched]
+
+    def test_wait_fold_fault_raises(self):
+        # Known fault: agent 1 waits 1/10 in the zero column after handing
+        # the bike over, and folding that wait into column 1 makes agent 2's
+        # pickup at the start of column 3 come before agent 1's arrival.
+        sched = Schedule(
+            (F(1, 2), F(0), F(1, 2)),
+            ScheduleMatrix(((1, 0, 0), (0, 1, 1))),
+            ((F(1, 4), F(1, 10), F(0)), (F(0), F(0), F(0))),
+        )
+        assert check_feasible(sched, TWO_ONE).ok
+        with pytest.raises(ContractError, match="agent 2"):
+            standardize(sched, TWO_ONE)
+        with pytest.raises(ContractError):
+            remove_all_waits(sched, TWO_ONE)
 
     def test_wait_entries_follow_columns(self):
         # Waits on merged columns add up; the completion profile is untouched.

@@ -3,7 +3,8 @@ and the solvers must answer the same under ``python -O``.
 
 A dependency that cannot be installed leaves the code that needs it
 untested and the fallback that replaces it unnoticed.  ``-O`` strips every
-``assert``, so an assert with a side effect would change the answers.
+``assert``, so an assert with a side effect would change the answers, and
+a contract check written as an assert would stop raising.
 """
 
 import importlib
@@ -38,24 +39,38 @@ def test_declared_dependencies_import():
 
 SMOKE = """
 from fractions import Fraction as F
+from dataclasses import replace
 from bikesched import (
-    ProblemInstance, Schedule, ScheduleMatrix, brute_force_rbs, build_lp,
-    completion_profile, solve_bs, solve_partition, solve_rbs,
+    ContractError, ProblemInstance, Schedule, ScheduleMatrix, brute_force_rbs,
+    build_lp, completion_profile, solve_bs, solve_partition, solve_rbs,
 )
 from bikesched.lp import vertex_from_point
+from bikesched.model import verify_answer
+
+
+def raised(call):
+    try:
+        call()
+    except ContractError as exc:
+        return type(exc).__name__
 
 relay = ScheduleMatrix(((1, 1, 0), (2, 0, 1), (0, 2, 2)))
 pair = ProblemInstance(3, (F(1, 2), F(2, 3)))
 x, tau = solve_partition(relay, pair)
 start = ((x[0] + 1) / 2, x[1] / 2, x[2] / 2)
 start_tau = completion_profile(Schedule(start, relay), pair).makespan
+quad = ProblemInstance(4, (F(1, 3), F(2, 5)))
 results = [
-    solve_bs(ProblemInstance(4, (F(1, 3), F(2, 5)))),
+    solve_bs(quad),
     solve_rbs(ProblemInstance(3, (F(1, 2), F(9, 10)), abandonment_limit=1)),
     (x, tau),
     vertex_from_point(build_lp(relay, pair), start, start_tau),
     brute_force_rbs(ProblemInstance(2, (F(1, 2), F(4, 5)), abandonment_limit=1)),
 ]
+sched, cert = results[0]
+results.append(raised(
+    lambda: verify_answer(sched, quad, replace(cert, value=cert.value + 1))
+))
 """
 
 
@@ -70,3 +85,4 @@ def test_optimized_mode_gives_same_answers():
         capture_output=True, text=True, env=env, check=True, timeout=120,
     ).stdout.splitlines()
     assert out == ["False", repr(namespace["results"])]
+    assert namespace["results"][-1] == "ContractError"
