@@ -125,7 +125,7 @@ def _relay_paces(inst: ProblemInstance) -> UnexpandedSchedule:
             mk = walkers + k
             row.append(average_bound(inst.sub_instance(k)) if i < mk else u[k + i - mk])
         paces.append(tuple(row))
-    sync = tuple((c, c - 1) for c in range(1, m))
+    sync = tuple([(c, c - 1) for c in range(1, m)])
     return UnexpandedSchedule(z=(), paces=tuple(paces), sync=sync)
 
 
@@ -159,7 +159,7 @@ def expand(columns: Sequence[NestedColumn]) -> ScheduleMatrix:
             for j in range(col.block.size):
                 sub_col = col.block.matrix.column(j)
                 out_cols.append(sub_col + col.tail)
-    rows = tuple(tuple(c[i] for c in out_cols) for i in range(m))
+    rows = tuple([tuple([c[i] for c in out_cols]) for i in range(m)])
     return ScheduleMatrix(rows)
 
 
@@ -200,9 +200,9 @@ def _relay_columns(
     for j in range(walkers):
         cols.append(
             NestedColumn(
-                tail=tuple(
+                tail=tuple([
                     i - j + 1 if j <= i <= j + b - 1 else 0 for i in range(m)
-                )
+                ])
             )
         )
     for k in range(b):
@@ -212,7 +212,7 @@ def _relay_columns(
             raise ValueError("need one group schedule per non-empty block")
         if block is not None and (block.agents != mk or block.length != 1):
             raise ValueError("group schedule has the wrong shape")
-        tail = tuple(i - walkers + 1 for i in range(mk, m))
+        tail = tuple([i - walkers + 1 for i in range(mk, m)])
         cols.append(NestedColumn(tail=tail, block=block))
     return cols
 
@@ -228,7 +228,7 @@ def _build_relay(
     columns = _relay_columns(inst, blocks)
     unexp = unexpanded_partition(inst)
     total = sum(unexp.z, ZERO)
-    z = tuple(v / total for v in unexp.z)
+    z = tuple([v / total for v in unexp.z])
     return expand_with_partition(z, columns)
 
 
@@ -324,9 +324,9 @@ def solve_bs(inst: ProblemInstance) -> tuple[Schedule, BoundCertificate]:
     else:
         k = solo_split(inst)
         shared = relay_schedule(ProblemInstance(m - k, inst.inverse_speeds[: b - k]))
-        solo_rows = tuple(
+        solo_rows = tuple([
             (b - k + i + 1,) * shared.size for i in range(k)
-        )  # solo columns refined to the shared partition
+        ])  # solo columns refined to the shared partition
         sched = Schedule(
             shared.partition, ScheduleMatrix(shared.matrix.rows + solo_rows)
         )

@@ -15,17 +15,24 @@ row has a last-column term, so that point meets each pickup row with
 equality, and two pivots reach its basis.  Every LP is solved in one shot
 with all of its pickup rows.
 
-One kernel does all elimination.  ``_pivot`` is the Gauss-Jordan step; the
-tableau carries its objective row (reduced costs, then minus the objective
-value) as its last row, so a pivot updates it like any other row, the two
-start pivots included.  ``_reduce`` clears the pivot columns from each row
-added to the echelon of tight constraints behind ``vertex_from_point`` and
-``tight_constraint_rank``, which ``_pivot`` then keeps fully reduced.
+One fraction-free kernel does all elimination, on Python ints (Edmonds 1967;
+Bareiss 1968).  ``PartitionLP.int_rows`` scales the constraint rows once by
+the least common multiple of the inverse speeds' denominators.  Every row of
+a tableau or echelon is an integer equation, known up to a positive factor,
+whose basic or pivot coefficient is positive.  ``_eliminate`` clears a column
+from a row by cross-multiplying with the pivot row and divides the result by
+the gcd of its entries; ``_pivot`` applies it to every other row of the
+simplex tableau (whose last row is the objective: reduced costs, then minus
+the objective value) and of the echelon of tight constraints behind
+``vertex_from_point`` and ``tight_constraint_rank``.  Every decision depends
+only on signs and on ratios compared by cross-multiplication, which positive
+row factors leave alone, so the pivots and answers are those of exact
+rational elimination.  ``Fraction`` appears only at the boundary: inverse
+speeds and start points come in as ``Fraction``, answers go out as
+``Fraction`` in lowest terms.
 
 A broken solver contract raises ``LPContractError`` (a ``ContractError``),
 never ``assert``, so the checks also run under ``python -O``.
-
-All arithmetic is exact ``fractions.Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -33,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 
 from .model import (
     ONE,
@@ -44,7 +53,8 @@ from .model import (
     structural_violations,
 )
 
-# The one arithmetic type; the benchmark prints this name as its backend.
+# The exact type of every LP input and answer; the benchmark prints this name
+# as its backend.
 _Q = Fraction
 
 
@@ -76,14 +86,27 @@ class PartitionLP:
         at the handover boundary (feasible when >= 0)."""
         picker, dropper, col = self.switches[r]
         p, d = self.speed_rows[picker], self.speed_rows[dropper]
-        return tuple(p[k] - d[k] for k in range(col)) + (ZERO,) * (self.n - col)
+        return tuple([p[k] - d[k] for k in range(col)]) + (ZERO,) * (self.n - col)
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """Every inequality as a row a over (x, tau) with a . (x, tau) >= 0:
         tau - t_i for each agent, then each pickup row with no tau term."""
-        agents = tuple(tuple(-c for c in row) + (ONE,) for row in self.speed_rows)
-        pickups = tuple(self.switch_coeffs(r) + (ZERO,) for r in range(len(self.switches)))
+        agents = [tuple([-c for c in row]) + (ONE,) for row in self.speed_rows]
+        pickups = [self.switch_coeffs(r) + (ZERO,) for r in range(len(self.switches))]
+        return tuple(agents + pickups)
+
+    @cached_property
+    def int_rows(self) -> list[list[int]]:
+        """``rows`` times the least common multiple of the inverse speeds'
+        denominators: the same inequalities, in integers."""
+        scale = lcm(*{c.denominator for row in self.speed_rows for c in row})
+        s = [[c.numerator * (scale // c.denominator) for c in row] for row in self.speed_rows]
+        agents = [[-c for c in row] + [scale] for row in s]
+        pickups = [
+            [s[p][k] - s[d][k] for k in range(col)] + [0] * (self.n - col + 1)
+            for p, d, col in self.switches
+        ]
         return agents + pickups
 
 
@@ -114,24 +137,19 @@ def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     """Minimize tau by Bland's rule from the final-column vertex.
 
     Tableau columns: x, tau, one slack per agent row and per pickup row, then
-    the right-hand side.  A row a . (x, tau) >= 0 is written
-    -a . (x, tau) + slack = 0: s_i . x - tau + slack for agent i, and
-    -switch_coeffs . x + slack for a pickup row.  The last constraint row is
-    sum x = 1, and the objective row (min tau) comes after it.
+    the right-hand side.  A row a . (x, tau) >= 0 of ``int_rows`` is written
+    -a . (x, tau) + slack = 0.  The last constraint row is sum x = 1, and the
+    objective row (min tau) comes after it.
     """
     n, m = lp.n, lp.agents
-    n_ineq = m + len(lp.switches)
+    n_ineq = len(lp.int_rows)
     width = n + 1 + n_ineq + 1
-    rows: list[list] = []
-    for i, speeds in enumerate(lp.speed_rows):
-        row = [*speeds, -ONE] + [ZERO] * (n_ineq + 1)
-        row[n + 1 + i] = ONE
+    rows: list[list[int]] = []
+    for r, a in enumerate(lp.int_rows):
+        row = [-c for c in a] + [0] * (n_ineq + 1)
+        row[n + 1 + r] = 1
         rows.append(row)
-    for r in range(len(lp.switches)):
-        row = [-c if c else c for c in lp.switch_coeffs(r)] + [ZERO] * (n_ineq + 2)
-        row[n + 1 + m + r] = ONE
-        rows.append(row)
-    rows.append([ONE] * n + [ZERO] * (n_ineq + 1) + [ONE])
+    rows.append([1] * n + [0] * (n_ineq + 1) + [1])
     rows.append(_unit_row(n, width))
     basis = list(range(n + 1, n + 1 + n_ineq)) + [n - 1]
 
@@ -144,21 +162,22 @@ def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     if any(rows[r][-1] < 0 for r in range(n_ineq + 1)):
         raise LPContractError("the final-column start is not feasible")
 
-    z = rows[-1]
     while True:
+        z = rows[-1]
         enter = next((j for j in range(width - 1) if z[j] < 0), -1)
         if enter < 0:
             break
+        # Bland's ratio test: the least rhs / a over rows with a > 0, by
+        # cross-multiplication; ties go to the lowest basic variable.
         leave = -1
-        best = None
         for r in range(n_ineq + 1):
-            row = rows[r]
-            a = row[enter]
+            a = rows[r][enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
+                if leave >= 0:
+                    cross = rows[r][-1] * rows[leave][enter] - rows[leave][-1] * a
+                    if cross > 0 or (cross == 0 and basis[r] > basis[leave]):
+                        continue
+                leave = r
         if leave < 0:
             raise LPContractError("the partition LP is unbounded")
         _pivot(rows, basis, leave, enter)
@@ -166,7 +185,7 @@ def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     solution = [ZERO] * (n + 1)
     for r, b in enumerate(basis):
         if b <= n:
-            solution[b] = rows[r][-1]
+            solution[b] = Fraction(rows[r][-1], rows[r][b])
     return tuple(solution[:n]), solution[n]
 
 
@@ -174,36 +193,41 @@ def _dot(row, v) -> Fraction:
     return sum((a * b for a, b in zip(row, v) if a != 0), ZERO)
 
 
-def _pivot(rows, basis, leave, enter):
-    """Gauss-Jordan step: scale ``rows[leave]`` to a 1 in column ``enter``
-    and clear that column from every other row, objective row included."""
-    piv_row = rows[leave]
-    p = piv_row[enter]
-    if p != 1:
-        inv = 1 / p
-        rows[leave] = piv_row = [a * inv if a != 0 else a for a in piv_row]
-    # Pivot rows are mostly zeros, and a - f*0 == a exactly: updating only the
-    # nonzero columns leaves every tableau the same as a dense update.
-    nonzero = [(j, a) for j, a in enumerate(piv_row) if a != 0]
+def _eliminate(row, piv, col, nonzero) -> list[int]:
+    """``row`` with column ``col`` cleared by ``piv``, whose entry there is
+    positive: p * row - f * piv, divided by the gcd of its entries.  The
+    factor p > 0 keeps the sign of every basic or pivot coefficient.  Pivot
+    rows are mostly zeros, so only their ``nonzero`` (column, entry) pairs
+    are subtracted."""
+    p, f = piv[col], row[col]
+    out = [p * a for a in row] if p != 1 else list(row)
+    for j, b in nonzero:
+        out[j] -= f * b
+    g = gcd(*out)
+    return [a // g for a in out] if g > 1 else out
+
+
+def _nonzero(row) -> list[tuple[int, int]]:
+    return [(j, b) for j, b in enumerate(row) if b]
+
+
+def _pivot(rows, basis, leave, enter) -> None:
+    """Make column ``enter`` basic in ``rows[leave]``: negate that row if its
+    entry there is negative, then clear the column from every other row."""
+    piv = rows[leave]
+    if piv[enter] < 0:
+        rows[leave] = piv = [-a for a in piv]
+    nonzero = _nonzero(piv)
     for r, row in enumerate(rows):
-        if r == leave:
-            continue
-        f = row[enter]
-        if f != 0:
-            for j, a in nonzero:
-                row[j] -= f * a
+        if row[enter] and r != leave:
+            rows[r] = _eliminate(row, piv, enter, nonzero)
     basis[leave] = enter
 
 
-def _reduce(row, rows, pivots) -> None:
-    """Clear every pivot column from ``row`` in place; ``rows[r]`` has a 1 in
-    column ``pivots[r]`` and a 0 in every other pivot column."""
-    for piv_row, col in zip(rows, pivots):
-        f = row[col]
-        if f != 0:
-            for j, a in enumerate(piv_row):
-                if a != 0:
-                    row[j] -= f * a
+def _integral(values) -> tuple[list[int], int]:
+    """Fractions as integer numerators over their least common denominator."""
+    den = lcm(*[q.denominator for q in values])
+    return [q.numerator * (den // q.denominator) for q in values], den
 
 
 def vertex_from_point(
@@ -219,69 +243,67 @@ def vertex_from_point(
     independent tight row, so at most n + 1 exact ratio steps reach a
     vertex; no simplex, no stalling.
 
+    The point is carried as integers ``v`` over one positive denominator
+    ``den``, and each row's value at it as ``values`` = ``int_rows`` . v.
+
     Used by the schedule reducer in every round: the size argument only
     needs vertex-ness, not re-optimization.
     """
     n = lp.n
     width = n + 1
-    rows = lp.rows
-    v = list(x) + [tau]
+    rows = lp.int_rows
+    v, den = _integral((*x, tau))
     echelon, pivots, values = _tight_echelon(lp, v)
 
     while len(echelon) < width:
+        # The kernel direction with d[free] > 0 and 0 in every other free
+        # column, scaled to integers.
         free = next(c for c in range(width) if c not in pivots)
-        d = [ZERO] * width
-        d[free] = ONE
-        for piv_row, col in zip(echelon, pivots):
-            d[col] = -piv_row[free]
+        scale = lcm(*[row[col] for row, col in zip(echelon, pivots) if row[free]])
+        d = [0] * width
+        d[free] = scale
+        for row, col in zip(echelon, pivots):
+            d[col] = -row[free] * (scale // row[col])
         if d[n] > 0:
             d = [-a for a in d]
-        slopes = [ZERO] * len(rows)
-        step = None
-        hit_rows: list[int] = []
-        hit_units: list[int] = []
-        for r, row in enumerate(rows):
-            slope = ZERO
-            for a, b in zip(row, d):
-                if a != 0 and b != 0:
-                    slope += a * b
-            slopes[r] = slope
-            if slope < 0 and values[r] > 0:
-                ratio = values[r] / -slope
-                if step is None or ratio < step:
-                    step, hit_rows, hit_units = ratio, [r], []
-                elif ratio == step:
-                    hit_rows.append(r)
-        for j in range(n):
-            if d[j] < 0 and v[j] > 0:
-                ratio = v[j] / -d[j]
-                if step is None or ratio < step:
-                    step, hit_rows, hit_units = ratio, [], [j]
-                elif ratio == step:
-                    hit_units.append(j)
-        if step is None or step <= 0:
+        slopes = [sum(map(mul, row, d)) for row in rows]
+        # Blockers: slack rows, then x_j >= 0, each falling at rate -slope.
+        level = values + v[:n]
+        rate = slopes + d[:n]
+        blockers = [k for k, s in enumerate(rate) if s < 0 < level[k]]
+        if not blockers:
             raise LPContractError("nothing blocks the slide from a feasible point")
-        v = [a + step * b for a, b in zip(v, d)]
-        values = [val + step * sl for val, sl in zip(values, slopes)]
-        for r in hit_rows:
-            _absorb(echelon, pivots, rows[r])
-        for j in hit_units:
-            _absorb(echelon, pivots, _unit_row(j, width))
+        # The step is num / q (times 1 / den); the first smallest ratio wins.
+        num, q = level[blockers[0]], -rate[blockers[0]]
+        for k in blockers:
+            if level[k] * q < num * -rate[k]:
+                num, q = level[k], -rate[k]
+        v = [q * a + num * b for a, b in zip(v, d)]
+        values = [q * a + num * b for a, b in zip(values, slopes)]
+        den *= q
+        g = gcd(den, *v)
+        if g > 1:
+            v, values, den = [a // g for a in v], [a // g for a in values], den // g
+        for k in blockers:
+            if level[k] * q == num * -rate[k]:
+                hit = rows[k] if k < len(rows) else _unit_row(k - len(rows), width)
+                _absorb(echelon, pivots, hit)
 
-    return tuple(v[:n]), v[n]
+    return tuple([Fraction(a, den) for a in v[:n]]), Fraction(v[n], den)
 
 
-def _tight_echelon(lp: PartitionLP, v: list[Fraction]) -> tuple[list, list, list]:
-    """The echelon of every constraint tight at ``v`` = (x, tau) as its rows
-    and their pivot columns, and the value of each row of ``lp.rows`` there.
-    The simplex equality sum x = 1 is a permanently tight row; x_j >= 0 is
-    tight through a unit row when x_j = 0."""
+def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[list, list, list]:
+    """The echelon of every constraint tight at the integer point ``v`` (any
+    positive multiple of (x, tau)) as its rows and their pivot columns, and
+    the value of each row of ``lp.int_rows`` there.  The simplex equality
+    sum x = 1 is a permanently tight row; x_j >= 0 is tight through a unit
+    row when x_j = 0."""
     n = lp.n
-    echelon: list[list] = []
+    echelon: list[list[int]] = []
     pivots: list[int] = []
-    _absorb(echelon, pivots, [ONE] * n + [ZERO])  # sum x = 1
-    values = [_dot(row, v) for row in lp.rows]
-    for row, val in zip(lp.rows, values):
+    _absorb(echelon, pivots, [1] * n + [0])  # sum x = 1
+    values = [sum(map(mul, row, v)) for row in lp.int_rows]
+    for row, val in zip(lp.int_rows, values):
         if val == 0:
             _absorb(echelon, pivots, row)
     for j in range(n):
@@ -290,13 +312,14 @@ def _tight_echelon(lp: PartitionLP, v: list[Fraction]) -> tuple[list, list, list
     return echelon, pivots, values
 
 
-def _absorb(echelon: list[list], pivots: list[int], row) -> None:
-    """Add a row to a fully reduced echelon, whose row r has a leading 1 in
-    column ``pivots[r]`` and zeros in every other pivot column.  A row
+def _absorb(echelon: list, pivots: list[int], row) -> None:
+    """Add a row to a fully reduced echelon, whose row r has a positive entry
+    in column ``pivots[r]`` and zeros in every other pivot column.  A row
     dependent on the echelon leaves it unchanged."""
-    row = list(row)
-    _reduce(row, echelon, pivots)
-    lead = next((c for c, a in enumerate(row) if a != 0), None)
+    for piv, col in zip(echelon, pivots):
+        if row[col]:
+            row = _eliminate(row, piv, col, _nonzero(piv))
+    lead = next((c for c, a in enumerate(row) if a), None)
     if lead is None:
         return
     echelon.append(row)
@@ -304,9 +327,9 @@ def _absorb(echelon: list[list], pivots: list[int], row) -> None:
     _pivot(echelon, pivots, len(echelon) - 1, lead)
 
 
-def _unit_row(j: int, width: int) -> list[Fraction]:
-    row = [ZERO] * width
-    row[j] = ONE
+def _unit_row(j: int, width: int) -> list[int]:
+    row = [0] * width
+    row[j] = 1
     return row
 
 
@@ -318,7 +341,8 @@ def tight_constraint_rank(
     The solution is a basic feasible solution (vertex) exactly when this rank
     equals the variable count n + 1.
     """
-    echelon, _pivots, _values = _tight_echelon(lp, list(x) + [tau])
+    v, _den = _integral((*x, tau))
+    echelon, _pivots, _values = _tight_echelon(lp, v)
     return len(echelon)
 
 

@@ -34,7 +34,7 @@ class ContractError(RuntimeError):
 
 
 def _as_fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple(to_fraction(v) for v in values)
+    return tuple([to_fraction(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class ScheduleMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(r) for r in self.rows)
+        rows = tuple([tuple(r) for r in self.rows])
         object.__setattr__(self, "rows", rows)
         if not rows or not rows[0]:
             raise ValueError("schedule matrix must have at least one row and column")
@@ -138,10 +138,10 @@ class ScheduleMatrix:
         return len(self.rows[0])
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
+        return tuple([r[j] for r in self.rows])
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.size)]
+        return list(zip(*self.rows))
 
     def max_label(self) -> int:
         return max(max(r) for r in self.rows)
@@ -156,7 +156,7 @@ class ScheduleMatrix:
                 f"matrix uses bike label {self.max_label()} but instance has "
                 f"{inst.bikes} bikes"
             )
-        return tuple(tuple(inst.speed_of(c) for c in r) for r in self.rows)
+        return tuple([tuple([inst.speed_of(c) for c in r]) for r in self.rows])
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ class Schedule:
             if x < 0:
                 raise ValueError(f"negative interval length {x}")
         if self.waits is not None:
-            waits = tuple(_as_fractions(r) for r in self.waits)
+            waits = tuple([_as_fractions(r) for r in self.waits])
             object.__setattr__(self, "waits", waits)
             if len(waits) != self.matrix.agents or any(
                 len(r) != self.matrix.size for r in waits
@@ -293,7 +293,7 @@ def completion_profile(s: Schedule, inst: ProblemInstance) -> CompletionProfile:
             t += speeds[i][j] * s.partition[j] + s.wait(i, j)
             row.append(t)
         partial.append(tuple(row))
-    final = tuple(row[-1] for row in partial)
+    final = tuple([row[-1] for row in partial])
     return CompletionProfile(tuple(partial), final, max(final))
 
 
@@ -321,11 +321,11 @@ def handovers(matrix: ScheduleMatrix) -> tuple[tuple[int, int, int], ...]:
     column)`` triple, column by column: the picker takes, at the start of
     ``column``, the bike the dropper rode in ``column - 1``."""
     cols = matrix.columns()
-    return tuple(
+    return tuple([
         (picker, dropper, j)
         for j in range(1, len(cols))
         for picker, dropper in pickups(cols[j - 1], cols[j])
-    )
+    ])
 
 
 def structural_violations(matrix: ScheduleMatrix) -> list[Violation]:
@@ -382,7 +382,7 @@ def verify_answer(
     if profile.makespan != cert.value:
         raise ContractError(f"makespan {profile.makespan} is not the {cert.tight} bound")
     usage = abandonment_vector(s, inst)
-    left = tuple((bike, y) for bike, y in enumerate(usage, start=1) if y < ONE)
+    left = tuple([(bike, y) for bike, y in enumerate(usage, start=1) if y < ONE])
     if abandoned != left or len(left) > inst.abandonment_limit:
         raise ContractError(
             f"abandoned {abandoned} (limit {inst.abandonment_limit}), usage {usage}"
@@ -401,8 +401,8 @@ def scale(s: Schedule, factor: RationalLike) -> Schedule:
         raise ValueError(f"scale factor must be positive, got {c}")
     waits = None
     if s.waits is not None:
-        waits = tuple(tuple(w * c for w in r) for r in s.waits)
-    return Schedule(tuple(x * c for x in s.partition), s.matrix, waits)
+        waits = tuple([tuple([w * c for w in r]) for r in s.waits])
+    return Schedule(tuple([x * c for x in s.partition]), s.matrix, waits)
 
 
 def abandonment_vector(s: Schedule, inst: ProblemInstance) -> tuple[Fraction, ...]:

@@ -19,6 +19,7 @@ from typing import Optional
 from .lp import build_lp, solve_partition, vertex_from_point
 from .model import (
     ZERO,
+    CompletionProfile,
     ContractError,
     ProblemInstance,
     Schedule,
@@ -84,7 +85,7 @@ def standardize(
         # whether this column is redundant.  A swap gives the dropper's row
         # the bike it already rode and changes no other row above the
         # picker, so each rescan resumes at the picker's row.
-        column = tuple(row[j] for row in labels)
+        column = tuple([row[j] for row in labels])
         while out_cols:
             ties = []
             for picker, dropper in pickups(out_cols[-1], column):
@@ -106,7 +107,7 @@ def standardize(
                         waits[dropper][col],
                         waits[picker][col],
                     )
-            column = tuple(row[j] for row in labels)
+            column = tuple([row[j] for row in labels])
         col_d = [waits[i][j] for i in range(m)] if waits is not None else [ZERO] * m
         if out_cols and column == out_cols[-1]:
             merged += 1
@@ -130,24 +131,27 @@ def standardize(
         out_x = [ZERO]
         out_d = [list(pending)]
 
-    rows = tuple(tuple(col[i] for col in out_cols) for i in range(m))
+    rows = tuple([tuple([col[i] for col in out_cols]) for i in range(m)])
     new_waits = None
     if waits is not None:
-        new_waits = tuple(tuple(out_d[j][i] for j in range(len(out_cols))) for i in range(m))
+        new_waits = tuple([tuple([out_d[j][i] for j in range(len(out_cols))]) for i in range(m)])
     result = Schedule(tuple(out_x), ScheduleMatrix(rows), new_waits)
     return result, StandardFormReport(zero_removed, merged, swaps)
 
 
-def is_standard_form(s: Schedule, inst: ProblemInstance) -> bool:
+def is_standard_form(
+    s: Schedule, inst: ProblemInstance, profile: Optional[CompletionProfile] = None
+) -> bool:
     """True when a feasible schedule has no zero columns, no consecutive
-    identical columns, and strictly earlier dropper arrival at every handover."""
+    identical columns, and strictly earlier dropper arrival at every handover.
+    ``profile``, when given, is the schedule's own completion profile."""
     if any(x == 0 for x in s.partition):
         return False
     cols = s.matrix.columns()
     for j in range(1, s.size):
         if cols[j] == cols[j - 1]:
             return False
-    partial = completion_profile(s, inst).partial
+    partial = (profile or completion_profile(s, inst)).partial
     return all(
         partial[picker][col - 1] != partial[dropper][col - 1]
         for picker, dropper, col in handovers(s.matrix)
@@ -178,15 +182,14 @@ def reduce_schedule(
         initial, _ = solve_partition(matrix, inst)
     sched, _ = standardize(Schedule(tuple(initial), matrix), inst)
     matrix = sched.matrix
-    best_tau = None
+    best_tau = completion_profile(sched, inst).makespan
     prev_measure = None
     while True:
-        x, tau = vertex_from_point(
-            build_lp(matrix, inst),
-            sched.partition,
-            completion_profile(sched, inst).makespan,
-        )
-        if best_tau is not None and tau > best_tau:
+        # At a vertex some agent row is tight, so tau is the makespan, and
+        # standardize keeps every completion time: best_tau stays the
+        # makespan of the schedule that the next round slides.
+        x, tau = vertex_from_point(build_lp(matrix, inst), sched.partition, best_tau)
+        if tau > best_tau:
             raise ContractError("reduction increased the makespan")
         best_tau = tau
         sched = Schedule(x, matrix)

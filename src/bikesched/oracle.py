@@ -119,11 +119,11 @@ def _families(
                 for lengths in itertools.product(range(n), repeat=count):
                     column_bound = None
                     for c in range(n):
-                        active = tuple(
+                        active = tuple([
                             k
                             for k in range(1, b + 1)
                             if k not in retired or lengths[retired.index(k)] > c
-                        )
+                        ])
                         avg = _column_average(inst, active)
                         if column_bound is None or avg < column_bound:
                             column_bound = avg
@@ -173,11 +173,11 @@ def _family_matrices(
     retired = dict(family.prefixes)
     choice_lists = []
     for c in range(family.n):
-        active = tuple(
+        active = tuple([
             k
             for k in range(1, inst.bikes + 1)
             if k not in retired or retired[k] > c
-        )
+        ])
         if active not in placements:
             cols = []
             for rows in itertools.permutations(range(m), len(active)):
@@ -197,5 +197,5 @@ def _family_matrices(
     for combo in itertools.product(*choice_lists):
         if any(combo[c] == combo[c - 1] for c in range(1, family.n)):
             continue  # a merged duplicate column is enumerated at n - 1
-        rows = tuple(tuple(col[i] for col in combo) for i in range(m))
+        rows = tuple([tuple([col[i] for col in combo]) for i in range(m)])
         yield ScheduleMatrix(rows)

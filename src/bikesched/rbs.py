@@ -70,9 +70,9 @@ def shared_prefix(inst: ProblemInstance) -> int:
 
 
 def _relabeled(s: Schedule, mapping) -> Schedule:
-    rows = tuple(
-        tuple(mapping(c) if c != 0 else 0 for c in row) for row in s.matrix.rows
-    )
+    rows = tuple([
+        tuple([mapping(c) if c != 0 else 0 for c in row]) for row in s.matrix.rows
+    ])
     return Schedule(s.partition, ScheduleMatrix(rows), s.waits)
 
 
@@ -109,7 +109,7 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
     columns = [
         NestedColumn(
             block=blocks[0],
-            tail=tuple(i - walkers + 1 for i in range(group_sizes[0], m)),
+            tail=tuple([i - walkers + 1 for i in range(group_sizes[0], m)]),
         )
     ]
     paces = [[ZERO] * intervals for _ in range(m)]
@@ -132,14 +132,14 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
         columns.append(
             NestedColumn(
                 block=blocks[c],
-                tail=tuple(i - walkers + 1 for i in range(g, m - 1)) + (1,),
+                tail=tuple([i - walkers + 1 for i in range(g, m - 1)]) + (1,),
             )
         )
-    sync = tuple((group_sizes[c], group_sizes[c] - 1) for c in range(1, intervals))
+    sync = tuple([(group_sizes[c], group_sizes[c] - 1) for c in range(1, intervals)])
 
     z = solve_sync_partition([tuple(r) for r in paces], sync)
     total = sum(z, ZERO)
-    z = tuple(v / total for v in z)
+    z = tuple([v / total for v in z])
     sched = expand_with_partition(z, columns)
     cert = BoundCertificate(
         average=t_avg,
@@ -201,10 +201,10 @@ def solve_rbs(inst: ProblemInstance) -> RbsSolution:
     inner = solve_rbs(rest)
     # Bike b - k in the subproblem is the original bike b.
     lifted = _relabeled(inner.schedule, lambda lab: b if lab == b - k else lab)
-    solo_rows = tuple((b - k + i,) * lifted.size for i in range(k))
+    solo_rows = tuple([(b - k + i,) * lifted.size for i in range(k)])
     sched = Schedule(lifted.partition, ScheduleMatrix(lifted.matrix.rows + solo_rows))
     usage = abandonment_vector(sched, inst)
-    abandoned = tuple((bike + 1, pos) for bike, pos in enumerate(usage) if pos < ONE)
+    abandoned = tuple([(bike + 1, pos) for bike, pos in enumerate(usage) if pos < ONE])
     cert = BoundCertificate(
         average=t_avg,
         slowest=inst.slowest,

@@ -61,10 +61,10 @@ def remove_one_wait(
     """
     if s.waits is None or s.waits[agent][column] == 0:
         raise ValueError(f"no positive wait at agent {agent}, column {column}")
-    if not is_standard_form(s, inst):
+    profile = completion_profile(s, inst)
+    if not is_standard_form(s, inst, profile):
         raise ValueError("wait removal requires a schedule in standard form")
     switches = switch_matrix(s.matrix)
-    profile = completion_profile(s, inst)
     d = s.waits[agent][column]
     for j in range(column + 1, s.size):
         dropper = switches[agent][j]
@@ -74,7 +74,7 @@ def remove_one_wait(
         raise ContractError(f"no safe shrink of the wait at ({agent}, {column})")
     waits = [list(row) for row in s.waits]
     waits[agent][column] -= d
-    result = Schedule(s.partition, s.matrix, tuple(tuple(r) for r in waits))
+    result = Schedule(s.partition, s.matrix, tuple([tuple(r) for r in waits]))
     if not check_feasible(result, inst):
         raise ContractError("wait shrink broke feasibility")
     return result

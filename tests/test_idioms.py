@@ -1,0 +1,41 @@
+"""Source idioms that the solve path relies on for its memory profile.
+
+In CPython, ``tuple(<generator>)`` cannot know its length: it allocates a
+tuple of spare slots and shrinks it at the end.  Every tuple freed later goes
+to the free list of its final size, which keeps up to 2,000 tuples per size
+until a full collection, so a solve that builds many such tuples leaves its
+resident memory growing from call to call.  A list comprehension (or
+``zip(*rows)``) builds each tuple at its exact size.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bikesched"
+SOLVE_PATH = ("model", "lp", "normalize", "bs", "rbs", "waiting", "oracle")
+
+
+def _tuple_of_generator(tree: ast.AST) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+
+
+@pytest.mark.parametrize("module", SOLVE_PATH)
+def test_no_tuple_of_generator(module):
+    path = SRC / f"{module}.py"
+    lines = sorted(_tuple_of_generator(ast.parse(path.read_text(), filename=str(path))))
+    assert not lines, f"tuple(<generator>) in {module}.py at lines {lines}"
+
+
+def test_detector_finds_a_tuple_of_generator():
+    tree = ast.parse("a = tuple(x for x in y)\nb = tuple([x for x in y])\n")
+    assert _tuple_of_generator(tree) == [1]

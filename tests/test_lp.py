@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,12 +9,17 @@ from bikesched import (
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
+    TIGHT_ONE_ABANDONED,
     average_bound,
     build_lp,
+    check_feasible,
     completion_profile,
     is_vertex,
+    one_abandonment_bound,
     relay_reference,
+    solve_bs,
     solve_partition,
+    solve_rbs,
     tight_constraint_rank,
 )
 from bikesched.lp import (
@@ -255,3 +262,111 @@ class TestTightRankOffVertices:
                 assert tight_constraint_rank(lp, px, ptau) == expected
                 below_full += expected < n + 1
         assert below_full > 0
+
+
+def _brute_force_optimum(lp):
+    """Least tau over every vertex of the LP, found by solving each system
+    of sum x = 1 plus n tight inequalities (rows or x_j = 0) by Fraction
+    Gaussian elimination; independent of lp.py's kernel."""
+    n = lp.n
+    units = [tuple(F(int(k == j)) for k in range(n + 1)) for j in range(n)]
+    best = None
+    for chosen in itertools.combinations(list(lp.rows) + units, n):
+        system = [[F(1)] * n + [F(0), F(1)]] + [list(row) + [F(0)] for row in chosen]
+        point = _solve_square(system)
+        if point is None:
+            continue
+        x, tau = tuple(point[:n]), point[n]
+        if satisfies_all_constraints(lp, x, tau) and (best is None or tau < best):
+            best = tau
+    return best
+
+
+def _solve_square(system):
+    """The unique solution of an augmented square system, or None."""
+    rows = [list(row) for row in system]
+    size = len(rows)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [rows[r][-1] / rows[r][r] for r in range(size)]
+
+
+def _in_lowest_terms(values) -> bool:
+    return all(
+        isinstance(q, F) and math.gcd(q.numerator, q.denominator) == 1 for q in values
+    )
+
+
+def _assert_kernel_answers(lp, rng):
+    """solve_lp returns the brute-force optimum at a vertex, and a slide from
+    a blended start reaches a vertex no worse than the start, all as Fractions
+    in lowest terms."""
+    x, tau = solve_lp(lp)
+    assert satisfies_all_constraints(lp, x, tau)
+    assert is_vertex(lp, x, tau)
+    assert tau == _brute_force_optimum(lp)
+    assert _in_lowest_terms((*x, tau))
+    t = F(rng.randint(1, 5), 6)
+    start = tuple(t * xj + (1 - t) * F(int(j == lp.n - 1)) for j, xj in enumerate(x))
+    start_tau = max(sum(s * xj for s, xj in zip(speeds, start)) for speeds in lp.speed_rows)
+    vx, vtau = vertex_from_point(lp, start, start_tau)
+    assert vtau <= start_tau
+    assert satisfies_all_constraints(lp, vx, vtau)
+    assert is_vertex(lp, vx, vtau)
+    assert _in_lowest_terms((*vx, vtau))
+
+
+class TestIntegerKernel:
+    """The integer elimination behind solve_lp and vertex_from_point, on
+    small and on large denominators."""
+
+    def test_seeded_small_denominators(self, rng):
+        for _ in range(25):
+            inst = random_instance(rng, max_agents=8)
+            lp = build_lp(random_full_matrix(rng, inst, rng.randint(1, 3)), inst)
+            _assert_kernel_answers(lp, rng)
+
+    def test_coprime_denominators_near_a_million(self, rng):
+        primes = (999953, 999959, 999961, 999979, 999983, 1000003, 1000033)
+        for _ in range(20):
+            m = rng.randint(2, 5)
+            qs = rng.sample(primes, rng.randint(1, m))
+            inst = ProblemInstance(m, tuple(F(rng.randint(1, q - 1), q) for q in qs))
+            lp = build_lp(random_full_matrix(rng, inst, rng.randint(2, 3)), inst)
+            _assert_kernel_answers(lp, rng)
+
+    @staticmethod
+    def _twenty_digit(*offsets):
+        qs = [10**19 + k for k in offsets]
+        assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(qs, 2))
+        return qs
+
+    def test_solve_bs_with_twenty_digit_denominators(self):
+        qs = self._twenty_digit(1, 3, 7)
+        inst = ProblemInstance(5, tuple(F(q // 3 + k, q) for k, q in enumerate(qs)))
+        sched, cert = solve_bs(inst)
+        profile = completion_profile(sched, inst)
+        assert cert.value == max(inst.slowest, average_bound(inst)) == profile.makespan
+        assert check_feasible(sched, inst)
+        assert sched.size <= inst.agents
+        assert is_vertex(build_lp(sched.matrix, inst), sched.partition, cert.value)
+        assert _in_lowest_terms(sched.partition)
+
+    def test_solve_rbs_with_twenty_digit_denominators(self):
+        qs = self._twenty_digit(1, 3, 7)
+        u = (F(qs[0] // 3, qs[0]), F(qs[1] // 3 + 1, qs[1]), F(9 * qs[2] // 10, qs[2]))
+        inst = ProblemInstance(5, u, abandonment_limit=1)
+        result = solve_rbs(inst)
+        bound, _y_star = one_abandonment_bound(inst)
+        assert result.certificate.tight == TIGHT_ONE_ABANDONED
+        assert result.certificate.value == bound
+        assert completion_profile(result.schedule, inst).makespan == bound
+        assert check_feasible(result.schedule, inst)
+        assert _in_lowest_terms(result.schedule.partition)
