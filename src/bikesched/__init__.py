@@ -52,7 +52,7 @@ from .rbs import (
     solo_split_relaxed,
     solve_rbs,
 )
-from .waiting import remove_all_waits, remove_one_wait, switch_matrix
+from .waiting import remove_all_waits
 from .oracle import (
     BudgetExceededError,
     EnumerationBudget,
@@ -102,7 +102,6 @@ __all__ = [
     "relay_reference",
     "relay_schedule",
     "remove_all_waits",
-    "remove_one_wait",
     "scale",
     "shared_prefix",
     "solo_split",
@@ -111,7 +110,6 @@ __all__ = [
     "solve_partition",
     "solve_rbs",
     "standardize",
-    "switch_matrix",
     "tight_constraint_rank",
     "to_fraction",
     "unexpanded_partition",

@@ -207,9 +207,6 @@ class Schedule:
     def wait(self, i: int, j: int) -> Fraction:
         return self.waits[i][j] if self.waits is not None else ZERO
 
-    def without_waits(self) -> "Schedule":
-        return Schedule(self.partition, self.matrix)
-
 
 @dataclass(frozen=True)
 class CompletionProfile:

@@ -3,8 +3,9 @@
 A feasible schedule is in *standard form* when it has no zero-length columns,
 no two consecutive identical columns, and no handover happening at exactly
 equal arrival times (a "swap-switch", removable by swapping the two agents'
-remaining schedules).  ``standardize`` rewrites any feasible schedule into
-standard form without changing any agent's completion time; ``reduce_schedule``
+remaining schedules).  ``standardize`` rewrites any feasible wait-free
+schedule into standard form without changing any agent's completion time
+(``waiting.remove_all_waits`` is the one path for waits); ``reduce_schedule``
 alternates it with slides of the partition to an LP vertex until the schedule
 is in standard form, which forces its size down to at most the number of
 agents.
@@ -41,45 +42,33 @@ class StandardFormReport:
 def standardize(
     s: Schedule, inst: ProblemInstance
 ) -> tuple[Schedule, StandardFormReport]:
-    """Rewrite a feasible schedule into standard form.
+    """Rewrite a feasible wait-free schedule into standard form.
 
     Zero-length columns are deleted, consecutive identical columns merged
     (interval lengths summed), and equal-time handovers eliminated by swapping
     the two agents' row suffixes.  Completion times are preserved exactly.
-
-    Waiting entries ride along: merged columns add their waits, swapped rows
-    swap their wait suffixes, and waits sitting on a deleted zero-length
-    column are folded into the adjacent kept column (the previous one when it
-    exists).  Each handover of the result is checked as it is written, and
-    ``ContractError`` raised if the pickup comes before the dropper arrives.
+    A schedule with a positive wait is rejected with ``ValueError``
+    (``waiting.remove_all_waits`` drains waits first).  Each handover of the
+    result is checked as it is written, and ``ContractError`` raised if the
+    pickup comes before the dropper arrives.
     """
+    if s.waits is not None and any(w != 0 for row in s.waits for w in row):
+        raise ValueError("cannot standardize a schedule with waits")
     report = check_feasible(s, inst)
     if not report.ok:
         raise ValueError(f"cannot standardize an infeasible schedule: {report.violations}")
 
     m, n = s.agents, s.size
     labels = [list(row) for row in s.matrix.rows]
-    waits = [list(row) for row in s.waits] if s.waits is not None else None
 
     out_cols: list[tuple[int, ...]] = []
     out_x: list[Fraction] = []
-    out_d: list[list[Fraction]] = []
-    pending = [ZERO] * m  # waits from zero columns before the first kept one
     reach = [ZERO] * m  # completion time through the columns processed so far
     zero_removed = merged = swaps = 0
 
     for j in range(n):
         if s.partition[j] == 0:
             zero_removed += 1
-            if waits is not None:
-                for i in range(m):
-                    w = waits[i][j]
-                    if w != 0:
-                        if out_cols:
-                            out_d[-1][i] += w
-                        else:
-                            pending[i] += w
-                        reach[i] += w
             continue
         # Resolve swap-switches against the last kept column before deciding
         # whether this column is redundant.  A swap gives the dropper's row
@@ -97,45 +86,24 @@ def standardize(
                 break
             swaps += 1
             picker, dropper = ties[0]
-            for col in range(j, n):
-                labels[picker][col], labels[dropper][col] = (
-                    labels[dropper][col],
-                    labels[picker][col],
-                )
-                if waits is not None:
-                    waits[picker][col], waits[dropper][col] = (
-                        waits[dropper][col],
-                        waits[picker][col],
-                    )
+            labels[picker][j:], labels[dropper][j:] = labels[dropper][j:], labels[picker][j:]
             column = tuple([row[j] for row in labels])
-        col_d = [waits[i][j] for i in range(m)] if waits is not None else [ZERO] * m
         if out_cols and column == out_cols[-1]:
             merged += 1
             out_x[-1] += s.partition[j]
-            for i in range(m):
-                out_d[-1][i] += col_d[i]
         else:
             out_cols.append(column)
             out_x.append(s.partition[j])
-            if not out_cols[1:]:  # first kept column absorbs leading waits
-                col_d = [col_d[i] + pending[i] for i in range(m)]
-            out_d.append(col_d)
         for i in range(m):
             reach[i] += inst.speed_of(labels[i][j]) * s.partition[j]
-            if waits is not None:
-                reach[i] += waits[i][j]
 
     if not out_cols:
         # Degenerate zero-length schedule: keep one column so the shape stays valid.
         out_cols = [s.matrix.column(0)]
         out_x = [ZERO]
-        out_d = [list(pending)]
 
     rows = tuple([tuple([col[i] for col in out_cols]) for i in range(m)])
-    new_waits = None
-    if waits is not None:
-        new_waits = tuple([tuple([out_d[j][i] for j in range(len(out_cols))]) for i in range(m)])
-    result = Schedule(tuple(out_x), ScheduleMatrix(rows), new_waits)
+    result = Schedule(tuple(out_x), ScheduleMatrix(rows))
     return result, StandardFormReport(zero_removed, merged, swaps)
 
 

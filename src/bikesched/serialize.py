@@ -109,6 +109,13 @@ def parse_schedule(data: Any) -> Schedule:
         matrix = data["matrix"]
     except KeyError as exc:
         raise ValueError(f"schedule file missing field {exc}") from exc
+    waits = data.get("waits")
+    if not isinstance(partition, list) or not isinstance(matrix, list):
+        raise ValueError("fields 'partition' and 'matrix' must be lists")
+    if waits is not None and not isinstance(waits, list):
+        raise ValueError("field 'waits' must be a list or null")
+    if not all(isinstance(row, list) for row in matrix + (waits or [])):
+        raise ValueError("matrix and waits rows must be lists")
     xs = tuple(to_fraction(x) for x in partition)
     rows = []
     for row in matrix:
@@ -116,7 +123,6 @@ def parse_schedule(data: Any) -> Schedule:
             if not isinstance(label, int):
                 raise ValueError(f"matrix entries must be integers, got {label!r}")
         rows.append(tuple(row))
-    waits = data.get("waits")
     parsed_waits = None
     if waits is not None:
         parsed_waits = tuple(tuple(to_fraction(w) for w in row) for row in waits)

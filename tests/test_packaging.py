@@ -42,7 +42,8 @@ from fractions import Fraction as F
 from dataclasses import replace
 from bikesched import (
     ContractError, ProblemInstance, Schedule, ScheduleMatrix, brute_force_rbs,
-    build_lp, completion_profile, solve_bs, solve_partition, solve_rbs,
+    build_lp, completion_profile, remove_all_waits, solve_bs, solve_partition,
+    solve_rbs,
 )
 from bikesched.lp import vertex_from_point
 from bikesched.model import verify_answer
@@ -66,6 +67,10 @@ results = [
     (x, tau),
     vertex_from_point(build_lp(relay, pair), start, start_tau),
     brute_force_rbs(ProblemInstance(2, (F(1, 2), F(4, 5)), abandonment_limit=1)),
+    remove_all_waits(Schedule(
+        (F(1, 2), F(1, 2)), ScheduleMatrix(((1, 2), (2, 0), (0, 1))),
+        ((F(1, 4), F(0)), (F(0), F(0)), (F(0), F(0))),
+    ), ProblemInstance(3, (F(1, 5), F(1, 2)))),
 ]
 sched, cert = results[0]
 results.append(raised(
@@ -86,3 +91,11 @@ def test_optimized_mode_gives_same_answers():
     ).stdout.splitlines()
     assert out == ["False", repr(namespace["results"])]
     assert namespace["results"][-1] == "ContractError"
+
+
+def test_star_import_matches_all():
+    namespace: dict = {}
+    exec("from bikesched import *", namespace)
+    names = importlib.import_module("bikesched").__all__
+    assert len(names) == len(set(names))
+    assert set(names) <= set(namespace)

@@ -1,6 +1,5 @@
+import random
 from fractions import Fraction as F
-
-import pytest
 
 from bikesched import (
     ProblemInstance,
@@ -8,11 +7,11 @@ from bikesched import (
     ScheduleMatrix,
     check_feasible,
     completion_profile,
+    is_standard_form,
     remove_all_waits,
-    remove_one_wait,
     solve_bs,
-    switch_matrix,
 )
+from bikesched.model import pickups
 from conftest import random_instance
 
 TWO_ONE = ProblemInstance(2, (F(1, 2),))
@@ -26,72 +25,41 @@ def with_wait(agent, column, value, matrix=RELAY_M, partition=HALF):
     return Schedule(partition, matrix, tuple(tuple(r) for r in waits))
 
 
-class TestSwitchMatrix:
-    def test_relay(self):
-        assert switch_matrix(RELAY_M) == ((0, 0), (0, 1))
+def load_bearing_schedule(rng):
+    """A feasible schedule whose pickers wait for their droppers.
 
-    def test_all_walk(self):
-        assert switch_matrix(ScheduleMatrix(((0, 0), (0, 0)))) == ((0, 0), (0, 0))
-
-    def test_solo_single_column(self):
-        assert switch_matrix(ScheduleMatrix(((1,), (2,)))) == ((0,), (0,))
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            switch_matrix(ScheduleMatrix(((1,), (1,))))
-
-
-class TestRemoveOneWait:
-    def test_wait_with_no_later_pickup_fully_removed(self):
-        sched = with_wait(0, 0, F(1, 10))
-        assert completion_profile(sched, TWO_ONE).makespan == F(17, 20)
-        out = remove_one_wait(sched, TWO_ONE, 0, 0)
-        assert out.waits == ((F(0), F(0)), (F(0), F(0)))
-        assert completion_profile(out, TWO_ONE).makespan == F(3, 4)
-
-    def test_wait_at_own_pickup_column_fully_removed(self):
-        # The wait sits on the very column where agent 2 picked up; that
-        # handover compared arrival times from before the wait, so the whole
-        # 1/10 goes in one step.
-        sched = with_wait(1, 1, F(1, 10))
-        out = remove_one_wait(sched, TWO_ONE, 1, 1)
-        assert out.waits[1][1] == F(0)
-
-    def test_zero_target_rejected(self):
-        sched = with_wait(0, 0, F(1, 10))
-        with pytest.raises(ValueError):
-            remove_one_wait(sched, TWO_ONE, 1, 1)
-
-    def test_requires_standard_form(self):
-        # Equal-speed crossing at the midpoint is a swap-switch; the wait
-        # sits after the handover so the arrival times stay equal.
-        inst = ProblemInstance(2, (F(1, 2), F(1, 2)))
-        waits = ((F(0), F(1, 10)), (F(0), F(0)))
-        sched = Schedule(HALF, ScheduleMatrix(((1, 2), (2, 1))), waits)
-        assert check_feasible(sched, inst).ok
-        with pytest.raises(ValueError):
-            remove_one_wait(sched, inst, 0, 1)
-
-    def test_partial_removal_when_slack_is_tight(self):
-        # Agent 1 on the fast bike would reach the handover before agent 2
-        # has brought the slow bike there; a wait of 1/4 makes the schedule
-        # feasible, and only the 1/10 slack of that pickup can go at once.
-        inst = ProblemInstance(3, (F(1, 5), F(1, 2)))
-        matrix = ScheduleMatrix(((1, 2), (2, 0), (0, 1)))
-        sched = with_wait(0, 0, F(1, 4), matrix=matrix)
-        assert check_feasible(sched, inst).ok
-        out = remove_one_wait(sched, inst, 0, 0)
-        assert out.waits[0][0] == F(1, 4) - F(1, 10)
-
-    def test_only_target_rows_drop(self):
-        sched = with_wait(0, 0, F(1, 10))
-        before = completion_profile(sched, TWO_ONE)
-        out = remove_one_wait(sched, TWO_ONE, 0, 0)
-        after = completion_profile(out, TWO_ONE)
-        assert after.partial[1] == before.partial[1]
-        assert all(
-            b - a == F(1, 10) for a, b in zip(after.partial[0], before.partial[0])
-        )
+    Each column permutes the previous one's labels, some columns have zero
+    length, a few agents idle for no reason, and every picker that would
+    arrive before its dropper has its wait topped up to the dropper's
+    arrival.  Returns the instance and the schedule.
+    """
+    inst = random_instance(rng, max_agents=6)
+    m, n = inst.agents, rng.randint(1, 7)
+    cols = [[0] * m]
+    for bike, row in enumerate(rng.sample(range(m), inst.bikes), start=1):
+        cols[0][row] = bike
+    while len(cols) < n:
+        cols.append(rng.sample(cols[-1], m))
+    partition = [F(rng.randint(0, 3), 4) for _ in range(n)]
+    partition[rng.randrange(n)] += F(1, 4)
+    waits = [[F(0)] * n for _ in range(m)]
+    reach = [F(0)] * m
+    for j in range(n):
+        early = j > 0
+        while early:
+            early = False
+            for picker, dropper in pickups(cols[j - 1], cols[j]):
+                if reach[picker] < reach[dropper]:
+                    waits[picker][j - 1] += reach[dropper] - reach[picker]
+                    reach[picker] = reach[dropper]
+                    early = True
+        for i in range(m):
+            reach[i] += inst.speed_of(cols[j][i]) * partition[j]
+            if rng.random() < 0.1:
+                waits[i][j] += F(rng.randint(1, 4), 16)
+                reach[i] += waits[i][j]
+    rows = tuple(tuple(col[i] for col in cols) for i in range(m))
+    return inst, Schedule(partition, ScheduleMatrix(rows), tuple(map(tuple, waits)))
 
 
 class TestRemoveAllWaits:
@@ -114,9 +82,9 @@ class TestRemoveAllWaits:
         assert completion_profile(out, TWO_ONE).makespan == F(3, 4)
 
     def test_wait_dependent_handover_needs_two_rounds(self):
-        # The partial-removal case: once the slack is spent the handover
-        # happens at equal times, standardization swaps it away, and the
-        # remaining wait then vanishes.
+        # Agent 1's wait is load-bearing: without it agent 1 reaches the
+        # midpoint before agent 2 brings bike 2 there, so the sweep swaps the
+        # two agents' second columns and agent 2 keeps bike 2.
         inst = ProblemInstance(3, (F(1, 5), F(1, 2)))
         matrix = ScheduleMatrix(((1, 2), (2, 0), (0, 1)))
         sched = with_wait(0, 0, F(1, 4), matrix=matrix)
@@ -159,3 +127,26 @@ class TestRemoveAllWaits:
             assert after.makespan <= before.makespan
             assert sum(after.final) == sum(before.final) - injected
             assert check_feasible(out, inst).ok
+
+    def test_load_bearing_waits(self):
+        rng = random.Random(20261018)
+        drained = zero_columns = swapped = 0
+        for _ in range(300):
+            inst, sched = load_bearing_schedule(rng)
+            total = sum(w for row in sched.waits for w in row)
+            if total == 0:
+                continue
+            drained += 1
+            zero_columns += 0 in sched.partition
+            swapped += not check_feasible(Schedule(sched.partition, sched.matrix), inst).ok
+            assert check_feasible(sched, inst).ok
+            before = completion_profile(sched, inst)
+            out = remove_all_waits(sched, inst)
+            after = completion_profile(out, inst)
+            assert out.waits is None
+            assert check_feasible(out, inst).ok
+            assert is_standard_form(out, inst)
+            assert out.size <= sched.size
+            assert after.makespan <= before.makespan
+            assert sum(after.final) == sum(before.final) - total
+        assert drained > 200 and zero_columns > 50 and swapped > 50
