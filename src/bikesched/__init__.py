@@ -35,14 +35,12 @@ from .lp import PartitionLP, build_lp, is_vertex, solve_partition, tight_constra
 from .normalize import StandardFormReport, is_standard_form, reduce_schedule, standardize
 from .bs import (
     NestedColumn,
-    UnexpandedSchedule,
     expand,
     expand_with_partition,
     relay_reference,
     relay_schedule,
     solo_split,
     solve_bs,
-    unexpanded_partition,
 )
 from .rbs import (
     RbsSolution,
@@ -77,7 +75,6 @@ __all__ = [
     "Schedule",
     "ScheduleMatrix",
     "StandardFormReport",
-    "UnexpandedSchedule",
     "UnsupportedAbandonmentError",
     "Violation",
     "TIGHT_AVERAGE",
@@ -112,5 +109,4 @@ __all__ = [
     "standardize",
     "tight_constraint_rank",
     "to_fraction",
-    "unexpanded_partition",
 ]

@@ -13,14 +13,19 @@ Two constructions are provided: ``relay_reference`` expands every recursive
 group schedule in place (its size grows exponentially with the bike count;
 it exists for differential testing), while ``relay_schedule`` reuses one
 reduced schedule per distinct subproblem and reduces after every step, giving
-size at most m in polynomial time.  When the slowest bike is too slow, the
-optimum instead dedicates solo riders to the slowest bikes (``solve_bs``).
+size at most m in polynomial time.  Both lay out nested columns (group
+blocks stacked on solo riders) and hand them to one splicer, ``splice``,
+which reads each column's paces and meeting point off the columns
+themselves; the one-abandonment schedule of ``rbs`` uses it too.  When the
+slowest bike is too slow, the optimum instead dedicates solo riders to the
+slowest bikes (``solve_bs``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .model import (
@@ -49,33 +54,6 @@ class NestedColumn:
 
     tail: tuple[int, ...]
     block: Optional[Schedule] = None
-
-
-@dataclass(frozen=True)
-class UnexpandedSchedule:
-    """Interval lengths for the relay before group blocks are spliced in.
-
-    ``paces`` holds each agent's effective inverse speed per interval, with a
-    whole synchronized group represented by its average pace.  ``sync`` lists,
-    for every interval after the first, the (catcher, group) row pair that
-    must reach the interval's end simultaneously; ``z`` is the resulting
-    partition, unnormalized (z_1 = 1 except in pace-tie corner cases, where
-    leading intervals collapse to zero).
-    """
-
-    z: tuple[Fraction, ...]
-    paces: tuple[tuple[Fraction, ...], ...]
-    sync: tuple[tuple[int, int], ...]
-
-    def sync_gaps(self) -> tuple[Fraction, ...]:
-        """Arrival-time differences at each sync point; all zero when valid."""
-        gaps = []
-        for c, (catcher, group) in enumerate(self.sync, start=1):
-            gap = ZERO
-            for p in range(c + 1):
-                gap += (self.paces[catcher][p] - self.paces[group][p]) * self.z[p]
-            gaps.append(gap)
-        return tuple(gaps)
 
 
 def solve_sync_partition(
@@ -110,33 +88,6 @@ def solve_sync_partition(
             if z[c] < 0:
                 raise ContractError(f"negative interval length {z[c]} at {c}")
     return tuple(z)
-
-
-def _relay_paces(inst: ProblemInstance) -> UnexpandedSchedule:
-    m, b = inst.agents, inst.bikes
-    u = inst.inverse_speeds
-    walkers = m - b
-    paces = []
-    for i in range(m):
-        row = []
-        for j in range(walkers):
-            row.append(u[i - j] if j <= i <= j + b - 1 else ONE)
-        for k in range(b):
-            mk = walkers + k
-            row.append(average_bound(inst.sub_instance(k)) if i < mk else u[k + i - mk])
-        paces.append(tuple(row))
-    sync = tuple([(c, c - 1) for c in range(1, m)])
-    return UnexpandedSchedule(z=(), paces=tuple(paces), sync=sync)
-
-
-def unexpanded_partition(inst: ProblemInstance) -> UnexpandedSchedule:
-    """Unnormalized relay interval lengths for an instance with b >= 1 bikes."""
-    _check_relay_precondition(inst)
-    if inst.bikes == 0:
-        raise ValueError("relay partition needs at least one bike")
-    shape = _relay_paces(inst)
-    z = solve_sync_partition(shape.paces, shape.sync)
-    return UnexpandedSchedule(z=z, paces=shape.paces, sync=shape.sync)
 
 
 def expand(columns: Sequence[NestedColumn]) -> ScheduleMatrix:
@@ -177,6 +128,36 @@ def expand_with_partition(
         else:
             xs.extend(length * x for x in col.block.partition)
     return Schedule(tuple(xs), expand(columns))
+
+
+def splice(inst: ProblemInstance, columns: Sequence[NestedColumn]) -> Schedule:
+    """Size nested columns so that each absorbed rider meets its group exactly
+    at the end of its host column, then expand them.
+
+    Labels in blocks and tails are bike labels of ``inst``.  A tail row moves
+    at its label's inverse speed.  Every block is a length-1 relay whose
+    agents all tie, so each block row moves at the block's common finish
+    time, read off its first row.  In every column after the first, the
+    catcher is the first tail row on a bike, and it meets the row above it.
+    The lengths from ``solve_sync_partition`` are scaled to sum to 1.
+    """
+    paces: list[list[Fraction]] = []
+    sync: list[tuple[int, int]] = []
+    for c, col in enumerate(columns):
+        pace = [inst.speed_of(label) for label in col.tail]
+        if col.block is not None:
+            block = col.block
+            speeds = [inst.speed_of(label) for label in block.matrix.rows[0]]
+            finish = sum(map(mul, block.partition, speeds), ZERO)
+            pace = [finish] * block.agents + pace
+        if c:
+            rider = next(i for i, label in enumerate(col.tail) if label)
+            catcher = len(pace) - len(col.tail) + rider
+            sync.append((catcher, catcher - 1))
+        paces.append(pace)
+    z = solve_sync_partition(list(zip(*paces)), sync)
+    total = sum(z, ZERO)
+    return expand_with_partition([v / total for v in z], columns)
 
 
 def _check_relay_precondition(inst: ProblemInstance) -> None:
@@ -220,16 +201,12 @@ def _relay_columns(
 def _build_relay(
     inst: ProblemInstance, group_solver: Callable[[ProblemInstance], Schedule]
 ) -> Schedule:
-    b = inst.bikes
+    _check_relay_precondition(inst)
     blocks = [
         group_solver(inst.sub_instance(k)) if inst.sub_agents(k) > 0 else None
-        for k in range(b)
+        for k in range(inst.bikes)
     ]
-    columns = _relay_columns(inst, blocks)
-    unexp = unexpanded_partition(inst)
-    total = sum(unexp.z, ZERO)
-    z = tuple([v / total for v in unexp.z])
-    return expand_with_partition(z, columns)
+    return splice(inst, _relay_columns(inst, blocks))
 
 
 def relay_reference(inst: ProblemInstance) -> Schedule:
@@ -254,7 +231,6 @@ def relay_reference(inst: ProblemInstance) -> Schedule:
 
 
 def _relay_reference_impl(inst: ProblemInstance) -> Schedule:
-    _check_relay_precondition(inst)
     if inst.bikes == 0:
         return _walk_schedule(inst.agents)
     return _build_relay(inst, _relay_reference_impl)

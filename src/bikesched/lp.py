@@ -44,7 +44,6 @@ from math import gcd, lcm
 from operator import mul
 
 from .model import (
-    ONE,
     ZERO,
     ContractError,
     ProblemInstance,
@@ -81,25 +80,13 @@ class PartitionLP:
     def agents(self) -> int:
         return len(self.speed_rows)
 
-    def switch_coeffs(self, r: int) -> tuple[Fraction, ...]:
-        """Coefficients over x of pickup row r, as "picker time - dropper time"
-        at the handover boundary (feasible when >= 0)."""
-        picker, dropper, col = self.switches[r]
-        p, d = self.speed_rows[picker], self.speed_rows[dropper]
-        return tuple([p[k] - d[k] for k in range(col)]) + (ZERO,) * (self.n - col)
-
-    @cached_property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Every inequality as a row a over (x, tau) with a . (x, tau) >= 0:
-        tau - t_i for each agent, then each pickup row with no tau term."""
-        agents = [tuple([-c for c in row]) + (ONE,) for row in self.speed_rows]
-        pickups = [self.switch_coeffs(r) + (ZERO,) for r in range(len(self.switches))]
-        return tuple(agents + pickups)
-
     @cached_property
     def int_rows(self) -> list[list[int]]:
-        """``rows`` times the least common multiple of the inverse speeds'
-        denominators: the same inequalities, in integers."""
+        """Every inequality as an integer row a over (x, tau) with
+        a . (x, tau) >= 0: tau - t_i for each agent, then for each handover
+        the picker's time minus the dropper's at its column, which has no tau
+        term.  The rows are scaled by the least common multiple of the
+        inverse speeds' denominators."""
         scale = lcm(*{c.denominator for row in self.speed_rows for c in row})
         s = [[c.numerator * (scale // c.denominator) for c in row] for row in self.speed_rows]
         agents = [[-c for c in row] + [scale] for row in s]
@@ -187,10 +174,6 @@ def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
         if b <= n:
             solution[b] = Fraction(rows[r][-1], rows[r][b])
     return tuple(solution[:n]), solution[n]
-
-
-def _dot(row, v) -> Fraction:
-    return sum((a * b for a, b in zip(row, v) if a != 0), ZERO)
 
 
 def _eliminate(row, piv, col, nonzero) -> list[int]:
@@ -358,5 +341,5 @@ def satisfies_all_constraints(
         return False
     if sum(x, ZERO) != 1:
         return False
-    v = list(x) + [tau]
-    return all(_dot(row, v) >= 0 for row in lp.rows)
+    v, _den = _integral((*x, tau))
+    return all(sum(map(mul, row, v)) >= 0 for row in lp.int_rows)

@@ -84,15 +84,11 @@ class ProblemInstance:
         """Agent count of the k-fastest-bikes subproblem (walker count fixed)."""
         return self.agents - self.bikes + k
 
-    def sub_speeds(self, k: int) -> tuple[Fraction, ...]:
-        """The k fastest inverse speeds."""
-        return self.inverse_speeds[:k]
-
     def sub_instance(self, k: int) -> "ProblemInstance":
         """Subproblem with the k fastest bikes and the same number of walkers."""
         if not 0 <= k <= self.bikes:
             raise ValueError(f"k={k} out of range [0, {self.bikes}]")
-        return ProblemInstance(self.sub_agents(k), self.sub_speeds(k))
+        return ProblemInstance(self.sub_agents(k), self.inverse_speeds[:k])
 
     def speed_of(self, label: int) -> Fraction:
         """Inverse speed of a bike label; label 0 means walking (speed 1)."""

@@ -9,7 +9,9 @@ switching to the fastest bike, while everyone else relays the remaining bikes
 so that the whole crew ties at the one-abandonment bound.  If even the
 second-slowest bike lags, it gets a solo rider and the rest of the crew
 recurses on the remaining bikes (keeping the slowest, which is still the one
-abandoned), making the second-slowest bike's arrival the makespan.
+abandoned), making the second-slowest bike's arrival the makespan.  The
+abandoning schedule only lays out its nested columns; ``bs.splice``, the
+splicer of the full-delivery relay, sizes and expands them.
 
 Abandonment limits of two or more are an open problem and rejected.
 """
@@ -19,16 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bs import (
-    NestedColumn,
-    expand_with_partition,
-    relay_schedule,
-    solve_bs,
-    solve_sync_partition,
-)
+from .bs import NestedColumn, relay_schedule, solve_bs, splice
 from .model import (
     ONE,
-    ZERO,
     TIGHT_ONE_ABANDONED,
     TIGHT_SECOND_SLOWEST,
     BoundCertificate,
@@ -98,49 +93,25 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
         )
     q = shared_prefix(inst)
     walkers = m - b
-    intervals = b - q + 1
-
-    group_sizes = [walkers + q] + [walkers + q + c - 1 for c in range(1, intervals)]
-    blocks: list[Schedule] = [relay_schedule(ProblemInstance(walkers + q, u[:q]))]
-    for c in range(1, intervals):
-        block = relay_schedule(ProblemInstance(group_sizes[c], u[1 : q + c - 1]))
-        blocks.append(_relabeled(block, lambda lab: lab + 1))
-
+    group = walkers + q
     columns = [
         NestedColumn(
-            block=blocks[0],
-            tail=tuple([i - walkers + 1 for i in range(group_sizes[0], m)]),
+            block=relay_schedule(ProblemInstance(group, u[:q])),
+            tail=tuple([i - walkers + 1 for i in range(group, m)]),
         )
     ]
-    paces = [[ZERO] * intervals for _ in range(m)]
-    for i in range(m):
-        paces[i][0] = (
-            average_bound(ProblemInstance(walkers + q, u[:q]))
-            if i < group_sizes[0]
-            else u[i - walkers]
-        )
-    for c in range(1, intervals):
-        g = group_sizes[c]
-        pace_g = average_bound(ProblemInstance(g, u[1 : q + c - 1]))
-        for i in range(m):
-            if i < g:
-                paces[i][c] = pace_g
-            elif i < m - 1:
-                paces[i][c] = u[i - walkers]
-            else:
-                paces[i][c] = u[0]
+    # In each later column a group of g agents relays bikes 2..g-walkers and
+    # absorbs the row below it; agent m, past y*, rides the fastest bike and
+    # is absorbed last.
+    for g in range(group, m):
+        block = relay_schedule(ProblemInstance(g, u[1 : g - walkers]))
         columns.append(
             NestedColumn(
-                block=blocks[c],
+                block=_relabeled(block, lambda lab: lab + 1),
                 tail=tuple([i - walkers + 1 for i in range(g, m - 1)]) + (1,),
             )
         )
-    sync = tuple([(group_sizes[c], group_sizes[c] - 1) for c in range(1, intervals)])
-
-    z = solve_sync_partition([tuple(r) for r in paces], sync)
-    total = sum(z, ZERO)
-    z = tuple([v / total for v in z])
-    sched = expand_with_partition(z, columns)
+    sched = splice(inst, columns)
     cert = BoundCertificate(
         average=t_avg,
         slowest=inst.slowest,

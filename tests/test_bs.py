@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -19,9 +20,8 @@ from bikesched import (
     relay_schedule,
     solo_split,
     solve_bs,
-    unexpanded_partition,
 )
-from bikesched.bs import solve_sync_partition
+from bikesched.bs import solve_sync_partition, splice
 from conftest import random_instance
 
 
@@ -30,37 +30,59 @@ def relay_size(m: int, b: int) -> int:
     return 1 if b == 0 else 2 ** (b - 1) * (m - b + 1)
 
 
+def partial_times(sched: Schedule, inst: ProblemInstance, end: int) -> list[F]:
+    """Each agent's time over the first ``end`` columns."""
+    x = sched.partition[:end]
+    return [
+        sum(xj * inst.speed_of(label) for xj, label in zip(x, row))
+        for row in sched.matrix.rows
+    ]
+
+
 class TestUnexpandedPartition:
+    """The host-column lengths that ``splice`` gives the nested relay."""
+
     def test_three_agents_two_bikes(self):
-        unexp = unexpanded_partition(ProblemInstance(3, (F(1, 2), F(1, 2))))
-        assert unexp.z == (F(1), F(0), F(2))
-        assert unexp.sync_gaps() == (F(0), F(0))
+        # Host lengths 1 : 0 : 2, the last host holding the two-column relay
+        # of the first bike.
+        sched = relay_reference(ProblemInstance(3, (F(1, 2), F(1, 2))))
+        assert sched.partition == (F(1, 3), F(0), F(1, 3), F(1, 3))
 
     def test_two_agents_one_bike(self):
-        unexp = unexpanded_partition(ProblemInstance(2, (F(1, 2),)))
-        assert unexp.z == (F(1), F(1))
+        # One walker column, then the walker's one-agent walk as a block over
+        # the bike's rider, who catches up with it.
+        inst = ProblemInstance(2, (F(1, 2),))
+        walk = Schedule((F(1),), ScheduleMatrix(((0,),)))
+        sched = splice(inst, [NestedColumn(tail=(1, 0)), NestedColumn((1,), walk)])
+        assert sched.partition == (F(1, 2), F(1, 2))
+        assert sched.matrix.rows == ((1, 0), (0, 1))
 
     def test_nonnegative_and_valid(self, rng):
-        for _ in range(20):
+        # At the end of host column c >= 1 its catcher, agent c + 1, arrives
+        # together with agent c in the row above it.
+        checked = 0
+        for _ in range(40):
             inst = random_instance(rng, max_agents=6)
-            if inst.bikes == 0 or inst.slowest > average_bound(inst):
+            m, b = inst.agents, inst.bikes
+            if b == 0 or inst.slowest > average_bound(inst):
                 continue
-            unexp = unexpanded_partition(inst)
-            assert all(z >= 0 for z in unexp.z)
-            assert all(g == 0 for g in unexp.sync_gaps())
-
-    def test_requires_bikes(self):
-        with pytest.raises(ValueError):
-            unexpanded_partition(ProblemInstance(3, ()))
+            sched = relay_reference(inst)
+            widths = [1] * (m - b) + [relay_size(m - b + k, k) for k in range(b)]
+            ends = list(itertools.accumulate(widths))
+            for c in range(1, m):
+                times = partial_times(sched, inst, ends[c])
+                assert times[c] == times[c - 1]
+            checked += 1
+        assert checked > 5
 
     def test_pace_tie_collapses_leading_intervals(self):
         # u_2 equals the average bound exactly: the catcher can never close a
         # positive gap, so everything before its interval collapses to zero.
         inst = ProblemInstance(3, (F(1, 2), F(3, 4)))
         assert inst.slowest == average_bound(inst)
-        unexp = unexpanded_partition(inst)
-        assert all(g == 0 for g in unexp.sync_gaps())
-        assert sum(unexp.z) > 0
+        sched = relay_reference(inst)
+        assert sched.partition == (F(0), F(0), F(1, 2), F(1, 2))
+        assert set(completion_profile(sched, inst).final) == {average_bound(inst)}
 
     def test_sync_recursion_steps(self):
         # Hand-checkable two-interval instance: gap 1/20 closes at rate 1/2.

@@ -42,7 +42,9 @@ class TestBuildLp:
         # One handover: agent 2 takes over at column 2 from agent 1.
         assert lp.switches == ((1, 0, 1),)
         assert lp.speed_rows == ((F(1, 2), F(1)), (F(1), F(1, 2)))
-        assert lp.switch_coeffs(0) == (F(1, 2), F(0))
+        # Scaled by 2: tau - t_1, tau - t_2, then the pickup row, whose
+        # positive sign says agent 2 may not pick up before agent 1 arrives.
+        assert lp.int_rows == [[-1, -2, 2], [-2, -1, 2], [1, 0, 0]]
 
     def test_walk_only(self):
         lp = build_lp(ScheduleMatrix(((0,), (0,))), TWO_ONE)
@@ -228,13 +230,28 @@ def _elimination_rank(rows) -> int:
     return rank
 
 
+def _fraction_rows(lp):
+    """Every inequality a . (x, tau) >= 0 as Fractions, from the speed rows
+    and handovers alone: tau - t_i for each agent, then for each handover the
+    picker's time minus the dropper's at its column."""
+    rows = [[-c for c in speeds] + [F(1)] for speeds in lp.speed_rows]
+    for picker, dropper, col in lp.switches:
+        p, d = lp.speed_rows[picker], lp.speed_rows[dropper]
+        rows.append([p[k] - d[k] for k in range(col)] + [F(0)] * (lp.n - col + 1))
+    return rows
+
+
+def _dot(row, v):
+    return sum(a * b for a, b in zip(row, v))
+
+
 def _tight_rows(lp, x, tau):
     """sum x = 1, every constraint row with a . (x, tau) = 0, and a unit row
     for every x_j = 0."""
     v = list(x) + [tau]
     n = lp.n
     tight = [[F(1)] * n + [F(0)]]
-    tight += [row for row in lp.rows if sum(a * b for a, b in zip(row, v)) == 0]
+    tight += [row for row in _fraction_rows(lp) if _dot(row, v) == 0]
     tight += [[F(int(k == j)) for k in range(n + 1)] for j in range(n) if x[j] == 0]
     return tight
 
@@ -269,16 +286,17 @@ def _brute_force_optimum(lp):
     of sum x = 1 plus n tight inequalities (rows or x_j = 0) by Fraction
     Gaussian elimination; independent of lp.py's kernel."""
     n = lp.n
-    units = [tuple(F(int(k == j)) for k in range(n + 1)) for j in range(n)]
+    rows = _fraction_rows(lp)
+    units = [[F(int(k == j)) for k in range(n + 1)] for j in range(n)]
     best = None
-    for chosen in itertools.combinations(list(lp.rows) + units, n):
-        system = [[F(1)] * n + [F(0), F(1)]] + [list(row) + [F(0)] for row in chosen]
+    for chosen in itertools.combinations(rows + units, n):
+        system = [[F(1)] * n + [F(0), F(1)]] + [row + [F(0)] for row in chosen]
         point = _solve_square(system)
         if point is None:
             continue
-        x, tau = tuple(point[:n]), point[n]
-        if satisfies_all_constraints(lp, x, tau) and (best is None or tau < best):
-            best = tau
+        feasible = all(_dot(row, point) >= 0 for row in rows + units)
+        if feasible and (best is None or point[n] < best):
+            best = point[n]
     return best
 
 

@@ -8,6 +8,7 @@ a contract check written as an assert would stop raising.
 """
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -21,7 +22,8 @@ if sys.version_info < (3, 11):
 
 import tomllib
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_declared_dependencies_import():
@@ -99,3 +101,17 @@ def test_star_import_matches_all():
     names = importlib.import_module("bikesched").__all__
     assert len(names) == len(set(names))
     assert set(names) <= set(namespace)
+
+
+def test_benchmark_runs_one_pass():
+    # With --seconds 0 the benchmark makes its warm-up calls and one pass of
+    # the workload, so every bikesched name that it uses gets called.
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", "cold-reduce", "--seed", "1", "--seconds", "0"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    summary = json.loads(out.stdout.splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
