@@ -29,7 +29,6 @@ from .model import (
     check_feasible,
     completion_profile,
     one_abandonment_bound,
-    scale,
 )
 from .lp import PartitionLP, build_lp, is_vertex, solve_partition, tight_constraint_rank
 from .normalize import StandardFormReport, is_standard_form, reduce_schedule, standardize
@@ -99,7 +98,6 @@ __all__ = [
     "relay_reference",
     "relay_schedule",
     "remove_all_waits",
-    "scale",
     "shared_prefix",
     "solo_split",
     "solo_split_relaxed",

@@ -382,22 +382,6 @@ def verify_answer(
         )
 
 
-def scale(s: Schedule, factor: RationalLike) -> Schedule:
-    """Scale a schedule to a shorter or longer interval.
-
-    Multiplies every interval length (and waiting time, if any) by the
-    factor; the matrix is unchanged.  Every completion time scales by exactly
-    the same factor, so feasibility is preserved.
-    """
-    c = to_fraction(factor)
-    if c <= 0:
-        raise ValueError(f"scale factor must be positive, got {c}")
-    waits = None
-    if s.waits is not None:
-        waits = tuple([tuple([w * c for w in r]) for r in s.waits])
-    return Schedule(tuple([x * c for x in s.partition]), s.matrix, waits)
-
-
 def abandonment_vector(s: Schedule, inst: ProblemInstance) -> tuple[Fraction, ...]:
     """Total distance each bike is ridden; an entry < 1 means the bike is
     abandoned at that position."""

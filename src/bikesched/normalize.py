@@ -3,12 +3,12 @@
 A feasible schedule is in *standard form* when it has no zero-length columns,
 no two consecutive identical columns, and no handover happening at exactly
 equal arrival times (a "swap-switch", removable by swapping the two agents'
-remaining schedules).  ``standardize`` rewrites any feasible wait-free
-schedule into standard form without changing any agent's completion time
-(``waiting.remove_all_waits`` is the one path for waits); ``reduce_schedule``
-alternates it with slides of the partition to an LP vertex until the schedule
-is in standard form, which forces its size down to at most the number of
-agents.
+remaining schedules).  One left-to-right column sweep, ``_sweep``, builds
+it for ``standardize`` (feasible wait-free schedules, every completion time
+kept) and for ``waiting.remove_all_waits`` (schedules whose waits it drops).
+``reduce_schedule`` alternates ``standardize`` with slides of the partition
+to an LP vertex until a round changes nothing, which forces the size down
+to at most the number of agents.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Optional
 from .lp import build_lp, solve_partition, vertex_from_point
 from .model import (
     ZERO,
-    CompletionProfile,
     ContractError,
     ProblemInstance,
     Schedule,
@@ -39,6 +38,64 @@ class StandardFormReport:
     swap_switches_resolved: int
 
 
+def _sweep(
+    partition: tuple[Fraction, ...], rows: tuple[tuple[int, ...], ...], inst: ProblemInstance
+) -> tuple[Schedule, StandardFormReport, int]:
+    """Rebuild the wait-free schedule ``(partition, rows)`` in standard form.
+
+    Walks the columns keeping each row's wait-free arrival ``reach``,
+    deletes zero-length columns and merges a column into an identical last
+    kept one.  Against the last kept column, while some picker (in picker
+    order) would arrive no later than its dropper, the two rows' label
+    suffixes are swapped: the dropper keeps its bike and the picker takes
+    over the dropper's old plan.  Each swap makes one more row keep its
+    bike, so a column needs at most b swaps; ``ContractError`` past that.
+    Returns the schedule, its report and the number of swaps that repaired
+    a picker arriving strictly early.
+    """
+    m = len(rows)
+    labels = [list(row) for row in rows]
+    out_cols: list[tuple[int, ...]] = []
+    out_x: list[Fraction] = []
+    reach = [ZERO] * m  # arrival through the columns kept so far
+    zero_removed = merged = swaps = repaired = 0
+
+    for j, x in enumerate(partition):
+        if x == 0:
+            zero_removed += 1
+            continue
+        column = tuple([row[j] for row in labels])
+        prev = out_cols[-1] if out_cols else ()
+        for _ in range(inst.bikes + 1):
+            due = [(p, d) for p, d in pickups(prev, column) if reach[p] <= reach[d]]
+            if not due:
+                break
+            picker, dropper = due[0]
+            swaps += 1
+            repaired += reach[picker] < reach[dropper]
+            labels[picker][j:], labels[dropper][j:] = labels[dropper][j:], labels[picker][j:]
+            column = tuple([row[j] for row in labels])
+        else:
+            raise ContractError(f"column {j + 1} needed more than {inst.bikes} swaps")
+        if out_cols and column == out_cols[-1]:
+            merged += 1
+            out_x[-1] += x
+        else:
+            out_cols.append(column)
+            out_x.append(x)
+        for i in range(m):
+            reach[i] += inst.speed_of(column[i]) * x
+
+    if not out_cols:
+        # Degenerate zero-length schedule: keep one column so the shape stays valid.
+        out_cols = [tuple([row[0] for row in rows])]
+        out_x = [ZERO]
+
+    matrix = ScheduleMatrix(tuple([tuple([col[i] for col in out_cols]) for i in range(m)]))
+    report = StandardFormReport(zero_removed, merged, swaps)
+    return Schedule(tuple(out_x), matrix), report, repaired
+
+
 def standardize(
     s: Schedule, inst: ProblemInstance
 ) -> tuple[Schedule, StandardFormReport]:
@@ -48,78 +105,31 @@ def standardize(
     (interval lengths summed), and equal-time handovers eliminated by swapping
     the two agents' row suffixes.  Completion times are preserved exactly.
     A schedule with a positive wait is rejected with ``ValueError``
-    (``waiting.remove_all_waits`` drains waits first).  Each handover of the
-    result is checked as it is written, and ``ContractError`` raised if the
-    pickup comes before the dropper arrives.
+    (``waiting.remove_all_waits`` drains waits first).  A feasible wait-free
+    schedule has no early pickup, so ``ContractError`` is raised if the
+    sweep has to repair one.
     """
     if s.waits is not None and any(w != 0 for row in s.waits for w in row):
         raise ValueError("cannot standardize a schedule with waits")
-    report = check_feasible(s, inst)
-    if not report.ok:
-        raise ValueError(f"cannot standardize an infeasible schedule: {report.violations}")
-
-    m, n = s.agents, s.size
-    labels = [list(row) for row in s.matrix.rows]
-
-    out_cols: list[tuple[int, ...]] = []
-    out_x: list[Fraction] = []
-    reach = [ZERO] * m  # completion time through the columns processed so far
-    zero_removed = merged = swaps = 0
-
-    for j in range(n):
-        if s.partition[j] == 0:
-            zero_removed += 1
-            continue
-        # Resolve swap-switches against the last kept column before deciding
-        # whether this column is redundant.  A swap gives the dropper's row
-        # the bike it already rode and changes no other row above the
-        # picker, so each rescan resumes at the picker's row.
-        column = tuple([row[j] for row in labels])
-        while out_cols:
-            ties = []
-            for picker, dropper in pickups(out_cols[-1], column):
-                if reach[picker] < reach[dropper]:
-                    raise ContractError(f"standardizing made agent {picker + 1} pick up early")
-                if reach[picker] == reach[dropper]:
-                    ties.append((picker, dropper))
-            if not ties:
-                break
-            swaps += 1
-            picker, dropper = ties[0]
-            labels[picker][j:], labels[dropper][j:] = labels[dropper][j:], labels[picker][j:]
-            column = tuple([row[j] for row in labels])
-        if out_cols and column == out_cols[-1]:
-            merged += 1
-            out_x[-1] += s.partition[j]
-        else:
-            out_cols.append(column)
-            out_x.append(s.partition[j])
-        for i in range(m):
-            reach[i] += inst.speed_of(labels[i][j]) * s.partition[j]
-
-    if not out_cols:
-        # Degenerate zero-length schedule: keep one column so the shape stays valid.
-        out_cols = [s.matrix.column(0)]
-        out_x = [ZERO]
-
-    rows = tuple([tuple([col[i] for col in out_cols]) for i in range(m)])
-    result = Schedule(tuple(out_x), ScheduleMatrix(rows))
-    return result, StandardFormReport(zero_removed, merged, swaps)
+    broken = check_feasible(s, inst).violations
+    if broken:
+        raise ValueError(f"cannot standardize an infeasible schedule: {broken}")
+    result, report, repaired = _sweep(s.partition, s.matrix.rows, inst)
+    if repaired:
+        raise ContractError(f"standardizing repaired {repaired} early pickups")
+    return result, report
 
 
-def is_standard_form(
-    s: Schedule, inst: ProblemInstance, profile: Optional[CompletionProfile] = None
-) -> bool:
+def is_standard_form(s: Schedule, inst: ProblemInstance) -> bool:
     """True when a feasible schedule has no zero columns, no consecutive
-    identical columns, and strictly earlier dropper arrival at every handover.
-    ``profile``, when given, is the schedule's own completion profile."""
+    identical columns, and strictly earlier dropper arrival at every handover."""
     if any(x == 0 for x in s.partition):
         return False
     cols = s.matrix.columns()
     for j in range(1, s.size):
         if cols[j] == cols[j - 1]:
             return False
-    partial = (profile or completion_profile(s, inst)).partial
+    partial = completion_profile(s, inst).partial
     return all(
         partial[picker][col - 1] != partial[dropper][col - 1]
         for picker, dropper, col in handovers(s.matrix)
@@ -133,8 +143,9 @@ def reduce_schedule(
 ) -> Schedule:
     """Shrink a matrix to an equally good schedule of size <= agent count.
 
-    Alternates standardization with sliding the partition to a vertex of
-    equal or better makespan (``vertex_from_point``) until the pair is in
+    Alternates sliding the partition to a vertex of equal or better makespan
+    (``vertex_from_point``) with standardization, until a round's
+    ``StandardFormReport`` is all zero: the vertex schedule was already in
     standard form.  At a vertex, a schedule larger than the agent count
     always has a zero column or an equal-time handover, so each round
     strictly shrinks either the size or the handover count; the loop
@@ -160,16 +171,16 @@ def reduce_schedule(
         if tau > best_tau:
             raise ContractError("reduction increased the makespan")
         best_tau = tau
-        sched = Schedule(x, matrix)
-        if is_standard_form(sched, inst):
-            if sched.size > inst.agents:
+        vertex = Schedule(x, matrix)
+        sched, report = standardize(vertex, inst)
+        if report == StandardFormReport(0, 0, 0):
+            if vertex.size > inst.agents:
                 raise ContractError(
-                    f"reduced schedule has size {sched.size} > {inst.agents} agents"
+                    f"reduced schedule has size {vertex.size} > {inst.agents} agents"
                 )
-            return sched
+            return vertex
         measure = (matrix.size, len(handovers(matrix)))
         if prev_measure is not None and measure >= prev_measure:
             raise ContractError("reduction stopped making progress")
         prev_measure = measure
-        sched, _ = standardize(sched, inst)
         matrix = sched.matrix

@@ -13,9 +13,9 @@ Agent-relabeling symmetry is removed by fixing the first column to a
 canonical assignment, and consecutive identical columns are skipped (merging
 them never changes the optimum).  With pruning enabled (the default), whole
 candidate families are skipped using two elementary bounds -- the makespan is
-at least every column's average crossing time, and at least u_k for any bike
-k ridden in the final column -- and families are visited in ascending bound
-order so the search can stop as soon as no remaining family can win.  The
+at least the lowest column average crossing time, and at least u_k for any
+bike k ridden in the final column -- and families are visited in ascending
+bound order so the search can stop as soon as no remaining family can win.  The
 pruned and unpruned searches return identical values (property-tested); turn
 pruning off to make the search a pure exhaustive sweep.
 """
@@ -117,21 +117,19 @@ def _families(
                 survivors = [k for k in range(1, b + 1) if k not in retired]
                 final_bound = max((u[k - 1] for k in survivors), default=ZERO)
                 for lengths in itertools.product(range(n), repeat=count):
-                    column_bound = None
-                    for c in range(n):
-                        active = tuple([
-                            k
-                            for k in range(1, b + 1)
-                            if k not in retired or lengths[retired.index(k)] > c
-                        ])
-                        avg = _column_average(inst, active)
-                        if column_bound is None or avg < column_bound:
-                            column_bound = avg
+                    # Active sets only shrink along the columns, and dropping
+                    # a bike (u < 1) for a walker raises the average, so
+                    # column 0 has the lowest column average.
+                    first = tuple([
+                        k
+                        for k in range(1, b + 1)
+                        if k not in retired or lengths[retired.index(k)] > 0
+                    ])
                     families.append(
                         _Family(
                             n,
                             tuple(zip(retired, lengths)),
-                            max(column_bound, final_bound),
+                            max(_column_average(inst, first), final_bound),
                         )
                     )
     return families

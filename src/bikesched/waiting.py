@@ -3,25 +3,32 @@
 A schedule may carry a waiting matrix: agent i crosses sub-interval j, then
 idles for waits[i][j] before moving on.  (Moving slower than full speed is
 the same thing: ride at full speed, then wait out the difference.)  Waiting
-never helps, and ``remove_all_waits`` makes that constructive in one
-left-to-right sweep.
+never helps, and ``remove_all_waits`` makes that constructive with the
+standard-form sweep of ``normalize``.
 
 Drop every wait, then walk the columns keeping each row's wait-free arrival
-``reach`` at the end of the previous column.  At column j, while some
-handover has the picker arriving before the dropper, swap the two rows'
-label suffixes from column j on: the dropper keeps its bike and the picker
-takes over the dropper's old plan.  Finally standardize the wait-free result.
+``reach``, skipping zero-length columns.  At each kept column, while some
+picker would arrive no later than its dropper at the last kept column,
+swap the two rows' label suffixes from this column on: the dropper keeps
+its bike and the picker takes over the dropper's old plan.  Identical
+consecutive columns are merged on the way, so the result is in standard
+form.
 
-Why it is correct.  Invariant: each row's suffix from column j is the suffix
-of some input row (a bijection), and that input row, waits included,
-arrived at the end of column j-1 no earlier than the row's ``reach``.  The
-invariant holds at j = 0, and two facts keep it through a swap of picker p
-and dropper d.  The rider d of the bike at j-1 arrives no later than that
-bike's input rider (the invariant at j-1, with the same label in column
-j-1), and the input's pickup of the bike at j was on time; so d arrives no
-later than the input row whose suffix p held.  And p, arriving before d,
-arrives no later than the input row whose suffix d held.  Once column j has
-no early pickup, riding it keeps the invariant.  Three results follow:
+Why it is correct.  Invariant: at each kept column j, each row's suffix from
+j is the suffix of some input row (a bijection), and that input row, waits
+included, arrived at the end of column j-1 no earlier than the row's
+``reach``.  The invariant holds at the first kept column.  Skipped
+zero-length columns keep it, because they change no ``reach`` and a row's
+input arrival never decreases along its columns.  For the same reason
+on-time input pickups chain through them: the input rider of a bike at j
+arrived at the end of column j-1 no earlier than that bike's input rider at
+the last kept column j' arrived at the end of j'.  Two facts then keep the
+invariant through a swap of picker p and dropper d.  The rider d of the
+bike at j' arrives no later than that bike's input rider at j' (the
+invariant after riding j', with the same label there), and so no later
+than the input row whose suffix p held.  And p, arriving no later than d,
+arrives no later than the input row whose suffix d held.  Once column j
+has no such pickup, riding it keeps the invariant.  Three results follow:
 
 - every agent finishes no later than some input agent, so the makespan
   does not rise;
@@ -33,16 +40,8 @@ no early pickup, riding it keeps the invariant.  Three results follow:
 
 from __future__ import annotations
 
-from .model import (
-    ContractError,
-    ProblemInstance,
-    Schedule,
-    ScheduleMatrix,
-    check_feasible,
-    completion_profile,
-    pickups,
-)
-from .normalize import standardize
+from .model import ContractError, ProblemInstance, Schedule, check_feasible, completion_profile
+from .normalize import _sweep
 
 
 def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
@@ -57,28 +56,7 @@ def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
     report = check_feasible(s, inst)
     if not report.ok:
         raise ValueError(f"cannot remove waits from an infeasible schedule: {report.violations}")
-    labels = [list(row) for row in s.matrix.rows]
-    reach = [inst.speed_of(row[0]) * s.partition[0] for row in labels]
-    for j in range(1, s.size):
-        prev = [row[j - 1] for row in labels]
-        for _ in range(inst.bikes + 1):
-            early = next(
-                (
-                    (picker, dropper)
-                    for picker, dropper in pickups(prev, [row[j] for row in labels])
-                    if reach[picker] < reach[dropper]
-                ),
-                None,
-            )
-            if early is None:
-                break
-            picker, dropper = early
-            labels[picker][j:], labels[dropper][j:] = labels[dropper][j:], labels[picker][j:]
-        else:
-            raise ContractError(f"column {j + 1} needed more than {inst.bikes} swaps")
-        for i, row in enumerate(labels):
-            reach[i] += inst.speed_of(row[j]) * s.partition[j]
-    result, _ = standardize(Schedule(s.partition, ScheduleMatrix(labels)), inst)
+    result, _, _ = _sweep(s.partition, s.matrix.rows, inst)
     if completion_profile(result, inst).makespan > completion_profile(s, inst).makespan:
         raise ContractError("wait removal increased the makespan")
     return result

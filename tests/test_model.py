@@ -18,7 +18,6 @@ from bikesched import (
     completion_profile,
     is_standard_form,
     one_abandonment_bound,
-    scale,
 )
 from bikesched.lp import LPContractError
 from bikesched.model import TIGHT_AVERAGE, verify_answer
@@ -251,37 +250,6 @@ class TestHandoverContract:
             )
             assert is_standard_form(sched, inst) == standard
         assert 500 < malformed < 1500
-
-
-class TestScale:
-    def test_doubling(self):
-        doubled = scale(RELAY_2, 2)
-        assert doubled.partition == (F(1), F(1))
-        prof = completion_profile(doubled, TWO_ONE)
-        assert prof.makespan == F(3, 2)
-
-    def test_three_halves(self):
-        inst = ProblemInstance(2, ())
-        sched = Schedule((F(1, 3), F(0), F(2, 3)), ScheduleMatrix(((0, 0, 0),) * 2))
-        assert scale(sched, F(3, 2)).partition == (F(1, 2), F(0), F(1))
-
-    def test_normalizes_relay_intervals(self):
-        sched = Schedule((F(1), F(0), F(2)), ScheduleMatrix(((0, 0, 0),) * 2))
-        assert scale(sched, F(1, 3)).partition == (F(1, 3), F(0), F(2, 3))
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            scale(RELAY_2, 0)
-
-    def test_profile_scales_exactly(self, rng):
-        for _ in range(10):
-            inst = random_instance(rng, max_agents=5)
-            sched = random_feasible_schedule(rng, inst)
-            c = F(rng.randint(1, 9), rng.randint(1, 9))
-            before = completion_profile(sched, inst)
-            after = completion_profile(scale(sched, c), inst)
-            assert after.final == tuple(t * c for t in before.final)
-            assert check_feasible(scale(sched, c), inst).ok
 
 
 class TestAbandonment:

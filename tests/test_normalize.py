@@ -3,9 +3,12 @@ from fractions import Fraction as F
 import pytest
 
 from bikesched import (
+    ContractError,
+    FeasibilityReport,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
+    StandardFormReport,
     build_lp,
     check_feasible,
     completion_profile,
@@ -97,6 +100,18 @@ class TestStandardize:
         standardize(sched, TWO_ONE)
         assert calls == [sched]
 
+    def test_early_pickup_raises(self, monkeypatch):
+        # A feasible wait-free schedule has no early pickup.  With the
+        # feasibility check stubbed out, agent 1 reaches the midpoint at 1/6
+        # and takes bike 2, which agent 2 only brings there at 1/4.
+        import bikesched.normalize as nz
+
+        monkeypatch.setattr(nz, "check_feasible", lambda s, inst_: FeasibilityReport(()))
+        inst = ProblemInstance(2, (F(1, 3), F(1, 2)))
+        sched = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((1, 2), (2, 1))))
+        with pytest.raises(ContractError, match="early"):
+            standardize(sched, inst)
+
     def test_wait_fold_fault_raises(self):
         # Agent 1 waits 1/10 in the zero column after handing the bike over.
         # standardize takes no waits; the drain ignores the zero column's
@@ -172,6 +187,20 @@ class TestReduce:
         assert len(calls) == 1
         assert red.size <= inst.agents
         assert completion_profile(red, inst).makespan == completion_profile(ref, inst).makespan
+
+    def test_stops_on_all_zero_report(self, monkeypatch):
+        # The reducer's stop test is standardize's report; it never builds
+        # the extra completion profile of is_standard_form.
+        import bikesched.normalize as nz
+
+        def refuse(*_args):
+            raise AssertionError("is_standard_form called")
+
+        monkeypatch.setattr(nz, "is_standard_form", refuse)
+        inst = ProblemInstance(3, (F(1, 2), F(1, 2)))
+        red = reduce_schedule(relay_reference(inst).matrix, inst)
+        assert is_standard_form(red, inst)
+        assert standardize(red, inst) == (red, StandardFormReport(0, 0, 0))
 
     def test_warm_start_agrees(self, rng):
         for _ in range(5):

@@ -94,3 +94,26 @@ class TestPruning:
             assert (
                 brute_force_rbs(inst, fast)[0] == brute_force_rbs(inst, slow)[0]
             )
+
+    def test_family_bound_is_lowest_column_average(self):
+        # Each family's bound is the larger of its final-column bikes' u_k
+        # and the lowest column average over all of its columns.
+        from bikesched.oracle import _column_average, _families
+
+        grid = [F(4, 5), F(1, 2), F(2, 3), F(1, 4)]
+        for m in (1, 2, 3, 4):
+            for b in range(min(m, 3) + 1):
+                inst = ProblemInstance(m, tuple(sorted(grid[:b])))
+                for family in _families(inst, 2, m):
+                    retired = dict(family.prefixes)
+                    lowest = min(
+                        _column_average(inst, tuple(
+                            k for k in range(1, b + 1) if retired.get(k, c + 1) > c
+                        ))
+                        for c in range(family.n)
+                    )
+                    final = max(
+                        (inst.inverse_speeds[k - 1] for k in range(1, b + 1) if k not in retired),
+                        default=F(0),
+                    )
+                    assert family.bound == max(lowest, final)

@@ -106,12 +106,14 @@ def test_star_import_matches_all():
 def test_benchmark_runs_one_pass():
     # With --seconds 0 the benchmark makes its warm-up calls and one pass of
     # the workload, so every bikesched name that it uses gets called.
-    out = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", "cold-reduce", "--seed", "1", "--seconds", "0"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert out.returncode == 0, out.stderr
-    summary = json.loads(out.stdout.splitlines()[-1])
-    assert summary["correct"] is True
-    assert summary["failed"] == 0
+    # random-mix checks every wait drain with the benchmark's own checker.
+    for workload in ("cold-reduce", "random-mix"):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "run.py"),
+             "--workload", workload, "--seed", "1", "--seconds", "0"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        summary = json.loads(out.stdout.splitlines()[-1])
+        assert summary["correct"] is True, workload
+        assert summary["failed"] == 0, workload

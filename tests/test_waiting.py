@@ -10,9 +10,11 @@ from bikesched import (
     is_standard_form,
     remove_all_waits,
     solve_bs,
+    solve_partition,
+    standardize,
 )
 from bikesched.model import pickups
-from conftest import random_instance
+from conftest import random_full_matrix, random_instance
 
 TWO_ONE = ProblemInstance(2, (F(1, 2),))
 RELAY_M = ScheduleMatrix(((1, 0), (0, 1)))
@@ -94,6 +96,18 @@ class TestRemoveAllWaits:
         assert out.waits is None
         assert after.makespan <= before.makespan
         assert sum(after.final) == sum(before.final) - F(1, 4)
+
+    def test_last_column_wait_drains_to_standardize(self, rng):
+        # A wait in the last column delays no pickup, so the drain is the
+        # standard form of the wait-free schedule.
+        for _ in range(10):
+            inst = random_instance(rng, max_agents=5)
+            matrix = random_full_matrix(rng, inst, rng.randint(1, 5))
+            x, _ = solve_partition(matrix, inst)
+            waits = [[F(0)] * matrix.size for _ in range(matrix.agents)]
+            waits[rng.randrange(matrix.agents)][-1] = F(rng.randint(1, 5), 7)
+            noisy = Schedule(x, matrix, tuple(tuple(r) for r in waits))
+            assert remove_all_waits(noisy, inst) == standardize(Schedule(x, matrix), inst)[0]
 
     def test_random_injections(self, rng):
         done = 0
