@@ -34,7 +34,6 @@ from .lp import PartitionLP, build_lp, is_vertex, solve_partition, tight_constra
 from .normalize import StandardFormReport, is_standard_form, reduce_schedule, standardize
 from .bs import (
     NestedColumn,
-    expand,
     expand_with_partition,
     relay_reference,
     relay_schedule,
@@ -88,7 +87,6 @@ __all__ = [
     "build_lp",
     "check_feasible",
     "completion_profile",
-    "expand",
     "expand_with_partition",
     "format_fraction",
     "is_standard_form",

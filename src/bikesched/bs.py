@@ -90,44 +90,28 @@ def solve_sync_partition(
     return tuple(z)
 
 
-def expand(columns: Sequence[NestedColumn]) -> ScheduleMatrix:
-    """Flatten nested columns: a block of n' columns replaces its host column
-    with n' columns, replicating the host's tail rows across all of them."""
-    m = None
-    out_cols: list[tuple[int, ...]] = []
-    for col in columns:
-        if col.block is None:
-            width = len(col.tail)
-            m = width if m is None else m
-            if width != m:
-                raise ValueError("inconsistent column heights")
-            out_cols.append(col.tail)
-        else:
-            height = col.block.agents + len(col.tail)
-            m = height if m is None else m
-            if height != m:
-                raise ValueError("inconsistent block + tail heights")
-            for j in range(col.block.size):
-                sub_col = col.block.matrix.column(j)
-                out_cols.append(sub_col + col.tail)
-    rows = tuple([tuple([c[i] for c in out_cols]) for i in range(m)])
-    return ScheduleMatrix(rows)
-
-
 def expand_with_partition(
     z: Sequence[Fraction], columns: Sequence[NestedColumn]
 ) -> Schedule:
-    """Expand nested columns and splice each block's partition, scaled by its
-    host interval length, into the host position."""
+    """Flatten nested columns: a block of n' columns replaces its host column
+    with n' columns, replicating the host's tail rows across all of them, and
+    its partition, scaled by the host interval length ``z``, is spliced into
+    the host position."""
     if len(z) != len(columns):
         raise ValueError("one interval length per nested column required")
     xs: list[Fraction] = []
+    out_cols: list[tuple[int, ...]] = []
     for length, col in zip(z, columns):
-        if col.block is None:
+        block = col.block
+        if block is None:
             xs.append(length)
+            out_cols.append(col.tail)
         else:
-            xs.extend(length * x for x in col.block.partition)
-    return Schedule(tuple(xs), expand(columns))
+            xs.extend(length * x for x in block.partition)
+            out_cols.extend(sub + col.tail for sub in block.matrix.columns())
+    if len({len(c) for c in out_cols}) > 1:
+        raise ValueError("inconsistent block + tail heights")
+    return Schedule(tuple(xs), ScheduleMatrix(tuple(zip(*out_cols))))
 
 
 def splice(inst: ProblemInstance, columns: Sequence[NestedColumn]) -> Schedule:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .rational import RationalLike, to_fraction
 
@@ -235,9 +235,6 @@ class FeasibilityReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class BoundCertificate:
@@ -290,7 +287,7 @@ def completion_profile(s: Schedule, inst: ProblemInstance) -> CompletionProfile:
     return CompletionProfile(tuple(partial), final, max(final))
 
 
-def pickups(prev_col: Sequence[int], col: Sequence[int]) -> Iterator[tuple[int, int]]:
+def pickups(prev_col: Sequence[int], col: Sequence[int]) -> list[tuple[int, int]]:
     """Every bike handover between two consecutive columns, as 0-based
     ``(picker, dropper)`` rows in picker order.
 
@@ -302,11 +299,11 @@ def pickups(prev_col: Sequence[int], col: Sequence[int]) -> Iterator[tuple[int, 
     first: dict[int, int] = {}
     for row, label in enumerate(prev_col):
         first.setdefault(label, row)
-    for picker, label in enumerate(col):
-        if label != 0:
-            dropper = first.get(label)
-            if dropper is not None and dropper != picker:
-                yield picker, dropper
+    return [
+        (picker, first[label])
+        for picker, label in enumerate(col)
+        if label != 0 and first.get(label, picker) != picker
+    ]
 
 
 def handovers(matrix: ScheduleMatrix) -> tuple[tuple[int, int, int], ...]:
@@ -365,13 +362,16 @@ def verify_answer(
     s: Schedule, inst: ProblemInstance, cert: BoundCertificate, abandoned: tuple = ()
 ) -> None:
     """Raise ``ContractError`` unless a solver answer meets conditions 1-3,
-    has makespan ``cert.value``, and reports as ``abandoned`` exactly the
-    ``(bike, position)`` pairs of the bikes ridden less than the whole
-    interval, no more of them than the instance's abandonment limit."""
+    has no more columns than agents, has makespan ``cert.value``, and
+    reports as ``abandoned`` exactly the ``(bike, position)`` pairs of the
+    bikes ridden less than the whole interval, no more of them than the
+    instance's abandonment limit."""
     profile = completion_profile(s, inst)
     broken = _violations(s.matrix, profile.partial)
     if broken:
         raise ContractError(f"solver answer is infeasible: {broken}")
+    if s.size > inst.agents:
+        raise ContractError(f"solver answer has {s.size} columns > {inst.agents} agents")
     if profile.makespan != cert.value:
         raise ContractError(f"makespan {profile.makespan} is not the {cert.tight} bound")
     usage = abandonment_vector(s, inst)

@@ -3,12 +3,13 @@
 A feasible schedule is in *standard form* when it has no zero-length columns,
 no two consecutive identical columns, and no handover happening at exactly
 equal arrival times (a "swap-switch", removable by swapping the two agents'
-remaining schedules).  One left-to-right column sweep, ``_sweep``, builds
-it for ``standardize`` (feasible wait-free schedules, every completion time
-kept) and for ``waiting.remove_all_waits`` (schedules whose waits it drops).
-``reduce_schedule`` alternates ``standardize`` with slides of the partition
-to an LP vertex until a round changes nothing, which forces the size down
-to at most the number of agents.
+remaining schedules).  One left-to-right column sweep on integer arrival
+times, ``_sweep``, builds it for ``standardize`` (feasible wait-free
+schedules, every completion time kept), ``reduce_schedule`` and
+``waiting.remove_all_waits`` (schedules whose waits it drops).
+``reduce_schedule`` standardizes its input once, then alternates slides to
+an LP vertex with sweeps until a round changes nothing, which forces the
+size down to at most the number of agents.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .lp import build_lp, solve_partition, vertex_from_point
+from .lp import _integral, build_lp, satisfies_all_constraints, solve_partition, vertex_from_point
 from .model import (
+    ONE,
     ZERO,
     ContractError,
     ProblemInstance,
@@ -43,9 +45,10 @@ def _sweep(
 ) -> tuple[Schedule, StandardFormReport, int]:
     """Rebuild the wait-free schedule ``(partition, rows)`` in standard form.
 
-    Walks the columns keeping each row's wait-free arrival ``reach``,
-    deletes zero-length columns and merges a column into an identical last
-    kept one.  Against the last kept column, while some picker (in picker
+    Walks the columns keeping each row's wait-free arrival ``reach`` as an
+    int (inverse speeds and lengths over their common denominators), deletes
+    zero-length columns and merges a column into an identical last kept
+    one.  Against the last kept column, while some picker (in picker
     order) would arrive no later than its dropper, the two rows' label
     suffixes are swapped: the dropper keeps its bike and the picker takes
     over the dropper's old plan.  Each swap makes one more row keep its
@@ -57,7 +60,9 @@ def _sweep(
     labels = [list(row) for row in rows]
     out_cols: list[tuple[int, ...]] = []
     out_x: list[Fraction] = []
-    reach = [ZERO] * m  # arrival through the columns kept so far
+    speed, _ = _integral((ONE, *inst.inverse_speeds))  # by label; 0 walks
+    length, _ = _integral(partition)
+    reach = [0] * m  # arrival through the columns kept so far
     zero_removed = merged = swaps = repaired = 0
 
     for j, x in enumerate(partition):
@@ -84,16 +89,15 @@ def _sweep(
             out_cols.append(column)
             out_x.append(x)
         for i in range(m):
-            reach[i] += inst.speed_of(column[i]) * x
+            reach[i] += speed[column[i]] * length[j]
 
     if not out_cols:
         # Degenerate zero-length schedule: keep one column so the shape stays valid.
         out_cols = [tuple([row[0] for row in rows])]
         out_x = [ZERO]
 
-    matrix = ScheduleMatrix(tuple([tuple([col[i] for col in out_cols]) for i in range(m)]))
     report = StandardFormReport(zero_removed, merged, swaps)
-    return Schedule(tuple(out_x), matrix), report, repaired
+    return Schedule(tuple(out_x), ScheduleMatrix(tuple(zip(*out_cols)))), report, repaired
 
 
 def standardize(
@@ -123,12 +127,9 @@ def standardize(
 def is_standard_form(s: Schedule, inst: ProblemInstance) -> bool:
     """True when a feasible schedule has no zero columns, no consecutive
     identical columns, and strictly earlier dropper arrival at every handover."""
-    if any(x == 0 for x in s.partition):
-        return False
     cols = s.matrix.columns()
-    for j in range(1, s.size):
-        if cols[j] == cols[j - 1]:
-            return False
+    if 0 in s.partition or any(a == b for a, b in zip(cols, cols[1:])):
+        return False
     partial = completion_profile(s, inst).partial
     return all(
         partial[picker][col - 1] != partial[dropper][col - 1]
@@ -143,14 +144,15 @@ def reduce_schedule(
 ) -> Schedule:
     """Shrink a matrix to an equally good schedule of size <= agent count.
 
-    Alternates sliding the partition to a vertex of equal or better makespan
-    (``vertex_from_point``) with standardization, until a round's
-    ``StandardFormReport`` is all zero: the vertex schedule was already in
-    standard form.  At a vertex, a schedule larger than the agent count
-    always has a zero column or an equal-time handover, so each round
-    strictly shrinks either the size or the handover count; the loop
-    terminates, in standard form, at size <= agents, never increasing the
-    makespan.
+    Standardizes the input once, then alternates sliding the partition to a
+    vertex of equal or better makespan (``vertex_from_point``) with the
+    standard-form sweep, until a round's ``StandardFormReport`` is all zero:
+    the vertex schedule was already in standard form.  At a vertex, a
+    schedule larger than the agent count always has a zero column or an
+    equal-time handover, so each round strictly shrinks either the size or
+    the handover count; the loop terminates, in standard form, at size <=
+    agents, never increasing the makespan.  Each round checks its vertex
+    against its own LP, in the LP's integers.
 
     ``initial`` is a feasible partition the caller already knows to be
     optimal for the matrix (the solvers build such partitions directly).
@@ -160,27 +162,28 @@ def reduce_schedule(
     if initial is None:
         initial, _ = solve_partition(matrix, inst)
     sched, _ = standardize(Schedule(tuple(initial), matrix), inst)
-    matrix = sched.matrix
+    x, matrix = sched.partition, sched.matrix
     best_tau = completion_profile(sched, inst).makespan
     prev_measure = None
     while True:
         # At a vertex some agent row is tight, so tau is the makespan, and
-        # standardize keeps every completion time: best_tau stays the
-        # makespan of the schedule that the next round slides.
-        x, tau = vertex_from_point(build_lp(matrix, inst), sched.partition, best_tau)
+        # the sweep keeps every completion time for the next round.
+        lp = build_lp(matrix, inst)
+        x, tau = vertex_from_point(lp, x, best_tau)
+        if not satisfies_all_constraints(lp, x, tau):
+            raise ContractError("the vertex leaves the feasible region")
         if tau > best_tau:
             raise ContractError("reduction increased the makespan")
         best_tau = tau
-        vertex = Schedule(x, matrix)
-        sched, report = standardize(vertex, inst)
+        swept, report, repaired = _sweep(x, matrix.rows, inst)
+        if repaired:
+            raise ContractError(f"the sweep repaired {repaired} early pickups at a vertex")
         if report == StandardFormReport(0, 0, 0):
-            if vertex.size > inst.agents:
-                raise ContractError(
-                    f"reduced schedule has size {vertex.size} > {inst.agents} agents"
-                )
-            return vertex
-        measure = (matrix.size, len(handovers(matrix)))
+            if lp.n > inst.agents:
+                raise ContractError(f"reduced schedule has size {lp.n} > {inst.agents} agents")
+            return Schedule(x, matrix)
+        measure = (lp.n, len(lp.switches))
         if prev_measure is not None and measure >= prev_measure:
             raise ContractError("reduction stopped making progress")
         prev_measure = measure
-        matrix = sched.matrix
+        x, matrix = swept.partition, swept.matrix

@@ -11,7 +11,17 @@ second-slowest bike lags, it gets a solo rider and the rest of the crew
 recurses on the remaining bikes (keeping the slowest, which is still the one
 abandoned), making the second-slowest bike's arrival the makespan.  The
 abandoning schedule only lays out its nested columns; ``bs.splice``, the
-splicer of the full-delivery relay, sizes and expands them.
+splicer of the full-delivery relay, sizes and expands them, and
+``normalize.reduce_schedule`` brings the result down to at most m columns.
+
+The reduction keeps the abandonment.  By condition 1 a bike in the final
+column is ridden in every column, so it is delivered.  The reducer's sweeps
+only delete zero-length columns, merge identical ones and permute a column's
+labels, each keeping every final-column bike in the final column, so bikes
+1..b-1 stay delivered.  Its slides keep the makespan at the one-abandonment
+bound.  Leaving bike b at y costs at least the average bound with bike b
+ridden to y (falling in y) and u_b*y + u_1*(1-y), its last rider's time
+(rising in y); both meet that bound only at y = y*.
 
 Abandonment limits of two or more are an open problem and rejected.
 """
@@ -35,6 +45,7 @@ from .model import (
     one_abandonment_bound,
     verify_answer,
 )
+from .normalize import reduce_schedule
 
 
 class UnsupportedAbandonmentError(ValueError):
@@ -79,7 +90,8 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
     fastest bike; the others relay the q fastest bikes over [0, y*], then the
     crew absorbs the solo riders of bikes q+1, ..., b-1 one at a time, exactly
     as in the full-delivery relay but with the fastest bike reserved for agent
-    m.  Everyone ties at the one-abandonment bound.
+    m.  Everyone ties at the one-abandonment bound.  The spliced schedule is
+    reduced to at most m columns.
     """
     m, b = inst.agents, inst.bikes
     u = inst.inverse_speeds
@@ -111,7 +123,8 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
                 tail=tuple([i - walkers + 1 for i in range(g, m - 1)]) + (1,),
             )
         )
-    sched = splice(inst, columns)
+    spliced = splice(inst, columns)
+    sched = reduce_schedule(spliced.matrix, inst, initial=spliced.partition)
     cert = BoundCertificate(
         average=t_avg,
         slowest=inst.slowest,

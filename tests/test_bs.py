@@ -14,7 +14,6 @@ from bikesched import (
     brute_force_bs,
     check_feasible,
     completion_profile,
-    expand,
     expand_with_partition,
     relay_reference,
     relay_schedule,
@@ -94,17 +93,22 @@ class TestUnexpandedPartition:
 class TestExpand:
     def test_block_of_size_one(self):
         block = Schedule((F(1),), ScheduleMatrix(((0,),)))
-        out = expand([NestedColumn(tail=(1, 2), block=block)])
-        assert out.rows == ((0,), (1,), (2,))
+        out = expand_with_partition((F(1),), [NestedColumn(tail=(1, 2), block=block)])
+        assert out.matrix.rows == ((0,), (1,), (2,))
+        assert out.partition == (F(1),)
 
     def test_tail_replicated_across_block_columns(self):
         block = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((1, 0), (0, 1))))
-        out = expand([NestedColumn(tail=(2,), block=block)])
-        assert out.rows == ((1, 0), (0, 1), (2, 2))
+        out = expand_with_partition((F(1),), [NestedColumn(tail=(2,), block=block)])
+        assert out.matrix.rows == ((1, 0), (0, 1), (2, 2))
+        assert out.partition == (F(1, 2), F(1, 2))
 
     def test_plain_columns_pass_through(self):
-        out = expand([NestedColumn(tail=(1, 0)), NestedColumn(tail=(0, 1))])
-        assert out.rows == ((1, 0), (0, 1))
+        out = expand_with_partition(
+            (F(1, 4), F(3, 4)), [NestedColumn(tail=(1, 0)), NestedColumn(tail=(0, 1))]
+        )
+        assert out.matrix.rows == ((1, 0), (0, 1))
+        assert out.partition == (F(1, 4), F(3, 4))
 
     def test_partition_splicing(self):
         block = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((1, 0), (0, 1))))
@@ -115,8 +119,10 @@ class TestExpand:
         assert sched.partition == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_height_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            expand([NestedColumn(tail=(0, 0)), NestedColumn(tail=(0,))])
+        with pytest.raises(ValueError, match="heights"):
+            expand_with_partition(
+                (F(1, 2), F(1, 2)), [NestedColumn(tail=(0, 0)), NestedColumn(tail=(0,))]
+            )
 
 
 class TestRelayReference:

@@ -372,7 +372,7 @@ class TestIntegerKernel:
         sched, cert = solve_bs(inst)
         profile = completion_profile(sched, inst)
         assert cert.value == max(inst.slowest, average_bound(inst)) == profile.makespan
-        assert check_feasible(sched, inst)
+        assert check_feasible(sched, inst).ok
         assert sched.size <= inst.agents
         assert is_vertex(build_lp(sched.matrix, inst), sched.partition, cert.value)
         assert _in_lowest_terms(sched.partition)
@@ -386,5 +386,5 @@ class TestIntegerKernel:
         assert result.certificate.tight == TIGHT_ONE_ABANDONED
         assert result.certificate.value == bound
         assert completion_profile(result.schedule, inst).makespan == bound
-        assert check_feasible(result.schedule, inst)
+        assert check_feasible(result.schedule, inst).ok
         assert _in_lowest_terms(result.schedule.partition)

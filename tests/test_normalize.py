@@ -9,7 +9,6 @@ from bikesched import (
     Schedule,
     ScheduleMatrix,
     StandardFormReport,
-    build_lp,
     check_feasible,
     completion_profile,
     is_standard_form,
@@ -202,6 +201,40 @@ class TestReduce:
         assert is_standard_form(red, inst)
         assert standardize(red, inst) == (red, StandardFormReport(0, 0, 0))
 
+    def test_checks_feasibility_once_per_call(self, monkeypatch):
+        # Only the caller's input is checked with a completion profile; every
+        # vertex is checked against its round's LP.
+        import bikesched.normalize as nz
+
+        calls = []
+
+        def spy(s, inst_, _real=nz.check_feasible):
+            calls.append(s)
+            return _real(s, inst_)
+
+        monkeypatch.setattr(nz, "check_feasible", spy)
+        inst = ProblemInstance(5, (F(1, 2), F(51, 100), F(52, 100)))
+        red = reduce_schedule(relay_reference(inst).matrix, inst)
+        assert len(calls) == 1
+        assert red.size <= inst.agents
+
+    def test_vertex_past_its_blocker_raises(self, monkeypatch):
+        # A slide that steps as far again past the vertex it reached breaks
+        # every constraint it hit on the way.
+        import bikesched.normalize as nz
+
+        def overshoot(lp, x, tau, _real=nz.vertex_from_point):
+            vx, vtau = _real(lp, x, tau)
+            return tuple([2 * a - b for a, b in zip(vx, x)]), 2 * vtau - tau
+
+        monkeypatch.setattr(nz, "vertex_from_point", overshoot)
+        relay = ScheduleMatrix(((1, 1, 0), (2, 0, 1), (0, 2, 2)))
+        pair = ProblemInstance(3, (F(1, 2), F(2, 3)))
+        x, _ = solve_partition(relay, pair)
+        start = ((x[0] + 1) / 2, x[1] / 2, x[2] / 2)
+        with pytest.raises(ContractError, match="feasible region"):
+            reduce_schedule(relay, pair, initial=start)
+
     def test_warm_start_agrees(self, rng):
         for _ in range(5):
             inst = random_instance(rng, max_agents=4)
@@ -215,29 +248,32 @@ class TestReduce:
             )
             assert warm.size <= inst.agents
 
-    def test_iteration_strictly_shrinks(self, rng):
-        # Every standardize round must lower (columns, handovers)
+    def test_iteration_strictly_shrinks(self, rng, monkeypatch):
+        # Every round's matrix must lower (columns, handovers)
         # lexicographically; run a few larger matrices through and watch.
+        # The start halfway between the LP vertex and the final-column vertex
+        # is feasible but no vertex, so the slides have work to do.
         import bikesched.normalize as nz
 
-        for _ in range(5):
+        seen = []
+
+        def spy(matrix, inst_, _real=nz.build_lp):
+            lp = _real(matrix, inst_)
+            seen.append((lp.n, len(lp.switches)))
+            return lp
+
+        monkeypatch.setattr(nz, "build_lp", spy)
+        several = 0
+        for _ in range(8):
             inst = random_instance(rng, min_agents=3, max_agents=5)
             if inst.bikes == 0:
                 continue
             matrix = random_full_matrix(rng, inst, inst.agents + 2)
-            seen = []
-            original = nz.standardize
-
-            def spy(sched, inst_, _seen=seen, _orig=original):
-                _seen.append(
-                    (sched.size, len(build_lp(sched.matrix, inst_).switches))
-                )
-                return _orig(sched, inst_)
-
-            nz.standardize = spy
-            try:
-                reduce_schedule(matrix, inst)
-            finally:
-                nz.standardize = original
+            x, _ = solve_partition(matrix, inst)
+            start = x[:-1] + (x[-1] + 1,)
+            seen.clear()
+            reduce_schedule(matrix, inst, initial=tuple([v / 2 for v in start]))
             for a, b in zip(seen, seen[1:]):
                 assert b < a
+            several += len(seen) > 1
+        assert several >= 2

@@ -4,6 +4,7 @@ import pytest
 
 from bikesched import (
     ProblemInstance,
+    Schedule,
     TIGHT_AVERAGE,
     TIGHT_ONE_ABANDONED,
     TIGHT_SECOND_SLOWEST,
@@ -155,6 +156,41 @@ class TestSolveRbs:
             if sol.certificate.tight in (TIGHT_AVERAGE, TIGHT_ONE_ABANDONED):
                 prof = completion_profile(sol.schedule, inst)
                 assert len(set(prof.final)) == 1
+
+
+class TestAnswerSize:
+    @pytest.mark.parametrize("m", [6, 8, 10, 12])
+    def test_lagging_relay_family_within_agent_count(self, m):
+        # The relay family 1/3 + k/(10b), b = m/2, with the slowest bike
+        # slowed to 9/10 so that it is abandoned.  Unreduced, the spliced
+        # schedule has 2m - 2 columns.
+        b = m // 2
+        u = tuple(F(1, 3) + F(k, 10 * b) for k in range(b - 1)) + (F(9, 10),)
+        inst = relaxed(m, u)
+        sol = solve_rbs(inst)
+        assert sol.certificate.tight == TIGHT_ONE_ABANDONED
+        assert sol.schedule.size <= m
+
+    def test_reduction_keeps_every_answer(self, rng, monkeypatch):
+        import bikesched.rbs as rbs
+
+        def summary(sol, inst):
+            makespan = completion_profile(sol.schedule, inst).makespan
+            return makespan, sol.certificate, sol.abandonment, sol.abandoned
+
+        instances = [random_instance(rng, max_agents=8, limit=1) for _ in range(400)]
+        reduced = []
+        for inst in instances:
+            sol = solve_rbs(inst)
+            assert sol.schedule.size <= inst.agents
+            reduced.append(summary(sol, inst))
+        assert sum(s[1].tight == TIGHT_ONE_ABANDONED for s in reduced) >= 20
+        # The same answers with the spliced schedule left as it is.
+        monkeypatch.setattr(
+            rbs, "reduce_schedule", lambda matrix, _inst, initial: Schedule(initial, matrix)
+        )
+        monkeypatch.setattr(rbs, "verify_answer", lambda *_args: None)
+        assert [summary(solve_rbs(inst), inst) for inst in instances] == reduced
 
 
 class TestOneAbandonmentOrder:
