@@ -16,8 +16,12 @@ equality, and two pivots reach its basis.  Every LP is solved in one shot
 with all of its pickup rows.
 
 One fraction-free kernel does all elimination, on Python ints (Edmonds 1967;
-Bareiss 1968).  ``PartitionLP.int_rows`` scales the constraint rows once by
-the least common multiple of the inverse speeds' denominators.  Every row of
+Bareiss 1968).  ``PartitionLP`` scales the inverse speeds s once by the lcm
+of their denominators.  An agent row is then scale * tau - S_i(n) and a
+pickup row S_p(col) - S_d(col), in the prefix sums S_i(c) = sum_{k<c} s_ik
+x_k, so ``row_values`` evaluates all R rows in O(m n + R), for the slide and
+the feasibility check; the dense ``int_rows`` serve the simplex and the
+tight rows an echelon absorbs.  Every row of
 a tableau or echelon is an integer equation, known up to a positive factor,
 whose basic or pivot coefficient is positive.  ``_eliminate`` clears a column
 from a row by cross-multiplying with the pivot row and divides the result by
@@ -40,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
@@ -48,6 +53,7 @@ from .model import (
     ContractError,
     ProblemInstance,
     ScheduleMatrix,
+    _integral,
     handovers,
     structural_violations,
 )
@@ -80,6 +86,13 @@ class PartitionLP:
     def agents(self) -> int:
         return len(self.speed_rows)
 
+    def __post_init__(self) -> None:
+        # The inverse speeds as ints over their lcm, by agent, and the lcm:
+        # every use of the LP needs them, so they are built with it.
+        flat, scale = _integral([c for row in self.speed_rows for c in row])
+        rows = [flat[i : i + self.n] for i in range(0, len(flat), self.n)]
+        object.__setattr__(self, "_scaled", (rows, scale))
+
     @cached_property
     def int_rows(self) -> list[list[int]]:
         """Every inequality as an integer row a over (x, tau) with
@@ -87,14 +100,20 @@ class PartitionLP:
         the picker's time minus the dropper's at its column, which has no tau
         term.  The rows are scaled by the least common multiple of the
         inverse speeds' denominators."""
-        scale = lcm(*{c.denominator for row in self.speed_rows for c in row})
-        s = [[c.numerator * (scale // c.denominator) for c in row] for row in self.speed_rows]
+        s, scale = self._scaled
         agents = [[-c for c in row] + [scale] for row in s]
         pickups = [
             [s[p][k] - s[d][k] for k in range(col)] + [0] * (self.n - col + 1)
             for p, d, col in self.switches
         ]
         return agents + pickups
+
+    def row_values(self, v) -> list[int]:
+        """``int_rows . v`` at an integer vector v over (x, tau), from agent prefix sums."""
+        s, scale = self._scaled
+        sums = [list(accumulate(map(mul, row, v), initial=0)) for row in s]
+        n, tau = self.n, scale * v[self.n]
+        return [tau - si[n] for si in sums] + [sums[p][c] - sums[d][c] for p, d, c in self.switches]
 
 
 def build_lp(matrix: ScheduleMatrix, inst: ProblemInstance) -> PartitionLP:
@@ -106,7 +125,8 @@ def build_lp(matrix: ScheduleMatrix, inst: ProblemInstance) -> PartitionLP:
     broken = structural_violations(matrix)
     if broken:
         raise ValueError(f"no partition makes this matrix feasible: {broken}")
-    return PartitionLP(matrix.size, matrix.induced_speeds(inst), handovers(matrix))
+    speeds = tuple([tuple([inst.speed_of(c) for c in r]) for r in matrix.rows])
+    return PartitionLP(matrix.size, speeds, handovers(matrix))
 
 
 def solve_partition(
@@ -207,12 +227,6 @@ def _pivot(rows, basis, leave, enter) -> None:
     basis[leave] = enter
 
 
-def _integral(values) -> tuple[list[int], int]:
-    """Fractions as integer numerators over their least common denominator."""
-    den = lcm(*[q.denominator for q in values])
-    return [q.numerator * (den // q.denominator) for q in values], den
-
-
 def vertex_from_point(
     lp: PartitionLP, x: tuple[Fraction, ...], tau: Fraction
 ) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -249,7 +263,7 @@ def vertex_from_point(
             d[col] = -row[free] * (scale // row[col])
         if d[n] > 0:
             d = [-a for a in d]
-        slopes = [sum(map(mul, row, d)) for row in rows]
+        slopes = lp.row_values(d)
         # Blockers: slack rows, then x_j >= 0, each falling at rate -slope.
         level = values + v[:n]
         rate = slopes + d[:n]
@@ -285,7 +299,7 @@ def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[list, list, list]:
     echelon: list[list[int]] = []
     pivots: list[int] = []
     _absorb(echelon, pivots, [1] * n + [0])  # sum x = 1
-    values = [sum(map(mul, row, v)) for row in lp.int_rows]
+    values = lp.row_values(v)
     for row, val in zip(lp.int_rows, values):
         if val == 0:
             _absorb(echelon, pivots, row)
@@ -337,9 +351,8 @@ def satisfies_all_constraints(
     lp: PartitionLP, x: tuple[Fraction, ...], tau: Fraction
 ) -> bool:
     """Exact feasibility of ``(x, tau)`` for the full constraint system."""
-    if len(x) != lp.n or any(xj < 0 for xj in x):
+    if len(x) != lp.n:
         return False
-    if sum(x, ZERO) != 1:
-        return False
-    v, _den = _integral((*x, tau))
-    return all(sum(map(mul, row, v)) >= 0 for row in lp.int_rows)
+    v, den = _integral((*x, tau))
+    x_ints = v[: lp.n]
+    return min(x_ints) >= 0 and sum(x_ints) == den and min(lp.row_values(v)) >= 0

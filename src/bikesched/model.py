@@ -8,13 +8,17 @@ labels (0 = walk) saying who rides what in each sub-interval, optionally with
 an m x n matrix of waiting times spent at the end of each sub-interval.
 
 All arithmetic is exact rational arithmetic; every equality test below is
-exact, with no tolerances.
+exact, with no tolerances.  Every check compares arrival times as ints over
+one common denominator (``_arrivals``); ``completion_profile`` returns them
+as ``Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .rational import RationalLike, to_fraction
@@ -145,15 +149,6 @@ class ScheduleMatrix:
     def bikes_in_final_column(self) -> frozenset[int]:
         return frozenset(label for label in self.column(self.size - 1) if label != 0)
 
-    def induced_speeds(self, inst: ProblemInstance) -> tuple[tuple[Fraction, ...], ...]:
-        """Replace labels by inverse speeds (0 -> 1)."""
-        if self.max_label() > inst.bikes:
-            raise ValueError(
-                f"matrix uses bike label {self.max_label()} but instance has "
-                f"{inst.bikes} bikes"
-            )
-        return tuple([tuple([inst.speed_of(c) for c in r]) for r in self.rows])
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -263,6 +258,31 @@ class BoundCertificate:
             raise ValueError(f"unknown bound tag {self.tight!r}")
 
 
+def _integral(values) -> tuple[list[int], int]:
+    """Fractions as integer numerators over their least common denominator."""
+    den = lcm(*{q.denominator for q in values})
+    return [q.numerator * (den // q.denominator) for q in values], den
+
+
+def _arrivals(s: Schedule, inst: ProblemInstance) -> tuple[list[list[int]], int]:
+    """Every partial arrival time t[i][j] as an int over one positive common
+    denominator, and that denominator: inverse speeds (label 0 walks) over
+    their lcm, times lengths and waits over theirs."""
+    if s.agents != inst.agents:
+        raise ValueError(f"schedule has {s.agents} rows but instance has {inst.agents} agents")
+    if s.matrix.max_label() > inst.bikes:
+        raise ValueError("matrix labels exceed the instance's bike count")
+    speed, den = _integral((ONE, *inst.inverse_speeds))
+    n = s.size
+    waits = [w for row in s.waits for w in row] if s.waits is not None else []
+    ints, x_den = _integral((*s.partition, *waits))
+    steps = [[speed[c] * x for c, x in zip(row, ints)] for row in s.matrix.rows]
+    if waits:
+        for i, row in enumerate(steps, start=1):
+            row[:] = [a + den * w for a, w in zip(row, ints[n * i : n * (i + 1)])]
+    return [list(accumulate(r)) for r in steps], den * x_den
+
+
 def completion_profile(s: Schedule, inst: ProblemInstance) -> CompletionProfile:
     """Exact partial and final completion times of every agent.
 
@@ -270,21 +290,10 @@ def completion_profile(s: Schedule, inst: ProblemInstance) -> CompletionProfile:
     (inverse speed) * (interval length) plus any waiting time, over
     sub-intervals 1..j.  The makespan is the latest final time.
     """
-    if s.agents != inst.agents:
-        raise ValueError(
-            f"schedule has {s.agents} rows but instance has {inst.agents} agents"
-        )
-    speeds = s.matrix.induced_speeds(inst)
-    partial = []
-    for i in range(s.agents):
-        t = ZERO
-        row = []
-        for j in range(s.size):
-            t += speeds[i][j] * s.partition[j] + s.wait(i, j)
-            row.append(t)
-        partial.append(tuple(row))
+    ints, den = _arrivals(s, inst)
+    partial = tuple([tuple([Fraction(t, den) for t in row]) for row in ints])
     final = tuple([row[-1] for row in partial])
-    return CompletionProfile(tuple(partial), final, max(final))
+    return CompletionProfile(partial, final, max(final))
 
 
 def pickups(prev_col: Sequence[int], col: Sequence[int]) -> list[tuple[int, int]]:
@@ -344,7 +353,7 @@ def check_feasible(s: Schedule, inst: ProblemInstance) -> FeasibilityReport:
     than the previous rider's arrival at the handover point.  Waiting times,
     if present, are included in the arrival times used for condition 3.
     """
-    return FeasibilityReport(_violations(s.matrix, completion_profile(s, inst).partial))
+    return FeasibilityReport(_violations(s.matrix, _arrivals(s, inst)[0]))
 
 
 def _violations(matrix: ScheduleMatrix, partial) -> tuple[Violation, ...]:
@@ -366,14 +375,15 @@ def verify_answer(
     reports as ``abandoned`` exactly the ``(bike, position)`` pairs of the
     bikes ridden less than the whole interval, no more of them than the
     instance's abandonment limit."""
-    profile = completion_profile(s, inst)
-    broken = _violations(s.matrix, profile.partial)
+    partial, den = _arrivals(s, inst)
+    broken = _violations(s.matrix, partial)
     if broken:
         raise ContractError(f"solver answer is infeasible: {broken}")
     if s.size > inst.agents:
         raise ContractError(f"solver answer has {s.size} columns > {inst.agents} agents")
-    if profile.makespan != cert.value:
-        raise ContractError(f"makespan {profile.makespan} is not the {cert.tight} bound")
+    makespan = Fraction(max([row[-1] for row in partial]), den)
+    if makespan != cert.value:
+        raise ContractError(f"makespan {makespan} is not the {cert.tight} bound")
     usage = abandonment_vector(s, inst)
     left = tuple([(bike, y) for bike, y in enumerate(usage, start=1) if y < ONE])
     if abandoned != left or len(left) > inst.abandonment_limit:

@@ -7,9 +7,9 @@ remaining schedules).  One left-to-right column sweep on integer arrival
 times, ``_sweep``, builds it for ``standardize`` (feasible wait-free
 schedules, every completion time kept), ``reduce_schedule`` and
 ``waiting.remove_all_waits`` (schedules whose waits it drops).
-``reduce_schedule`` standardizes its input once, then alternates slides to
-an LP vertex with sweeps until a round changes nothing, which forces the
-size down to at most the number of agents.
+``reduce_schedule`` alternates sweeps, of its input and then of each LP
+vertex, with slides to a vertex until a sweep changes nothing, which forces
+the size down to at most the number of agents.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .lp import _integral, build_lp, satisfies_all_constraints, solve_partition, vertex_from_point
+from .lp import build_lp, satisfies_all_constraints, solve_partition, vertex_from_point
 from .model import (
     ONE,
     ZERO,
@@ -26,8 +26,10 @@ from .model import (
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
+    _arrivals,
+    _integral,
+    _violations,
     check_feasible,
-    completion_profile,
     handovers,
     pickups,
 )
@@ -130,7 +132,7 @@ def is_standard_form(s: Schedule, inst: ProblemInstance) -> bool:
     cols = s.matrix.columns()
     if 0 in s.partition or any(a == b for a, b in zip(cols, cols[1:])):
         return False
-    partial = completion_profile(s, inst).partial
+    partial, _ = _arrivals(s, inst)
     return all(
         partial[picker][col - 1] != partial[dropper][col - 1]
         for picker, dropper, col in handovers(s.matrix)
@@ -144,9 +146,10 @@ def reduce_schedule(
 ) -> Schedule:
     """Shrink a matrix to an equally good schedule of size <= agent count.
 
-    Standardizes the input once, then alternates sliding the partition to a
-    vertex of equal or better makespan (``vertex_from_point``) with the
-    standard-form sweep, until a round's ``StandardFormReport`` is all zero:
+    Reads the input's feasibility and makespan off one integer arrival
+    profile.  Then it alternates the standard-form sweep with sliding the
+    partition to a vertex of equal or better makespan
+    (``vertex_from_point``), until the sweep of a vertex reports all zero:
     the vertex schedule was already in standard form.  At a vertex, a
     schedule larger than the agent count always has a zero column or an
     equal-time handover, so each round strictly shrinks either the size or
@@ -161,13 +164,29 @@ def reduce_schedule(
     """
     if initial is None:
         initial, _ = solve_partition(matrix, inst)
-    sched, _ = standardize(Schedule(tuple(initial), matrix), inst)
-    x, matrix = sched.partition, sched.matrix
-    best_tau = completion_profile(sched, inst).makespan
-    prev_measure = None
+    start = Schedule(tuple(initial), matrix)
+    partial, den = _arrivals(start, inst)
+    broken = _violations(matrix, partial)
+    if broken:
+        raise ValueError(f"cannot reduce an infeasible schedule: {broken}")
+    x, best_tau = start.partition, Fraction(max([row[-1] for row in partial]), den)
+    lp = prev_measure = None
     while True:
-        # At a vertex some agent row is tight, so tau is the makespan, and
-        # the sweep keeps every completion time for the next round.
+        # The input, then each vertex: at a vertex some agent row is tight, so
+        # tau is the makespan, and the sweep keeps every completion time.
+        swept, report, repaired = _sweep(x, matrix.rows, inst)
+        if repaired:
+            raise ContractError(f"the sweep repaired {repaired} early pickups")
+        if lp is not None:
+            if report == StandardFormReport(0, 0, 0):
+                if lp.n > inst.agents:
+                    raise ContractError(f"reduced schedule has size {lp.n} > {inst.agents} agents")
+                return Schedule(x, matrix)
+            measure = (lp.n, len(lp.switches))
+            if prev_measure is not None and measure >= prev_measure:
+                raise ContractError("reduction stopped making progress")
+            prev_measure = measure
+        x, matrix = swept.partition, swept.matrix
         lp = build_lp(matrix, inst)
         x, tau = vertex_from_point(lp, x, best_tau)
         if not satisfies_all_constraints(lp, x, tau):
@@ -175,15 +194,3 @@ def reduce_schedule(
         if tau > best_tau:
             raise ContractError("reduction increased the makespan")
         best_tau = tau
-        swept, report, repaired = _sweep(x, matrix.rows, inst)
-        if repaired:
-            raise ContractError(f"the sweep repaired {repaired} early pickups at a vertex")
-        if report == StandardFormReport(0, 0, 0):
-            if lp.n > inst.agents:
-                raise ContractError(f"reduced schedule has size {lp.n} > {inst.agents} agents")
-            return Schedule(x, matrix)
-        measure = (lp.n, len(lp.switches))
-        if prev_measure is not None and measure >= prev_measure:
-            raise ContractError("reduction stopped making progress")
-        prev_measure = measure
-        x, matrix = swept.partition, swept.matrix

@@ -40,7 +40,7 @@ has no such pickup, riding it keeps the invariant.  Three results follow:
 
 from __future__ import annotations
 
-from .model import ContractError, ProblemInstance, Schedule, check_feasible, completion_profile
+from .model import ContractError, ProblemInstance, Schedule, _arrivals, _violations
 from .normalize import _sweep
 
 
@@ -53,10 +53,12 @@ def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
     """
     if s.waits is None or all(w == 0 for row in s.waits for w in row):
         return s
-    report = check_feasible(s, inst)
-    if not report.ok:
-        raise ValueError(f"cannot remove waits from an infeasible schedule: {report.violations}")
+    partial, den = _arrivals(s, inst)
+    broken = _violations(s.matrix, partial)
+    if broken:
+        raise ValueError(f"cannot remove waits from an infeasible schedule: {broken}")
     result, _, _ = _sweep(s.partition, s.matrix.rows, inst)
-    if completion_profile(result, inst).makespan > completion_profile(s, inst).makespan:
+    out, out_den = _arrivals(result, inst)
+    if max([row[-1] for row in out]) * den > max([row[-1] for row in partial]) * out_den:
         raise ContractError("wait removal increased the makespan")
     return result

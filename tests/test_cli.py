@@ -1,16 +1,20 @@
 import json
+import math
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from bikesched import ContractError, Schedule, ScheduleMatrix
+from bikesched import ContractError, ProblemInstance, Schedule, ScheduleMatrix
 from bikesched.cli import main
+from bikesched.rational import format_fraction
 from bikesched.serialize import (
     dump_schedule,
     parse_problem,
     parse_schedule,
     schedule_payload,
 )
+from conftest import fraction_arrivals, reference_reading
 
 
 def write_json(path, payload):
@@ -146,6 +150,50 @@ class TestVerifyCommand:
         printed = capsys.readouterr().out
         assert "feasible" in printed
         assert "not in standard form" in printed
+
+    @pytest.mark.parametrize("legs", ["growing", "shrinking"])
+    def test_dozens_of_large_prime_denominators(self, tmp_path, capsys, legs):
+        # Two agents relay one bike over 48 columns of length 1/p, for
+        # distinct primes p just above 10^9, then a last column of the rest.
+        # Each column's walker takes the bike at the next column's start,
+        # which is on time while the legs do not shrink.  The verdict, exit
+        # code and printed lines match a Fraction reference, within a fixed
+        # time budget.
+        primes = []
+        p = 10**9
+        while len(primes) < 48:
+            p += 1
+            if all(p % d for d in range(2, math.isqrt(p) + 1)):
+                primes.append(p)
+        if legs == "growing":
+            primes.reverse()
+        head = [F(1, p) for p in primes]
+        partition = (*head, 1 - sum(head))
+        matrix = ScheduleMatrix(
+            (tuple((j + 1) % 2 for j in range(49)), tuple(j % 2 for j in range(49)))
+        )
+        sched = Schedule(partition, matrix)
+        inst = ProblemInstance(2, (F(500000009, 1000000007),))
+        problem = tmp_path / "p.json"
+        write_json(problem, {"agents": 2, "speeds": ["1000000007/500000009"], "mode": "bs"})
+        path = tmp_path / "s.json"
+        path.write_text(dump_schedule(schedule_payload(sched)))
+
+        _handovers, violations = reference_reading(sched, inst)
+        assert bool(violations) == (legs == "shrinking")
+        start = time.perf_counter()
+        code = main(["verify", "--schedule", str(path), "--problem", str(problem)])
+        assert time.perf_counter() - start < 5
+        printed = capsys.readouterr().out
+        if violations:
+            assert code == 1
+            assert printed.splitlines() == [
+                f"violation of condition {c} at agent {a}, column {j}" for c, a, j in violations
+            ]
+        else:
+            assert code == 0
+            makespan = max(row[-1] for row in fraction_arrivals(sched, inst))
+            assert printed.splitlines()[0] == f"feasible; makespan {format_fraction(makespan)}"
 
     def test_infinite_partition_exit_2(self, problem_bs, tmp_path):
         sched = tmp_path / "s.json"

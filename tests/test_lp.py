@@ -64,6 +64,58 @@ class TestBuildLp:
             build_lp(ScheduleMatrix(((0, 1), (0, 0))), TWO_ONE)
 
 
+class TestRowValues:
+    """``PartitionLP.row_values``, evaluated from the agents' prefix sums,
+    against the dense ``int_rows`` times v."""
+
+    def test_prefix_sums_match_dense_rows(self, rng):
+        switches = 0
+        for k in range(150):
+            inst = random_instance(rng, max_agents=7)
+            if k % 3 == 0 and inst.bikes and inst.slowest <= average_bound(inst):
+                matrix = relay_reference(inst).matrix
+            else:
+                matrix = random_full_matrix(rng, inst, rng.randint(1, 6))
+            lp = build_lp(matrix, inst)
+            switches += len(lp.switches)
+            width = lp.n + 1
+            units = [[int(c == j) for c in range(width)] for j in range(width)]
+            draws = [[rng.randint(-(10**6), 10**6) for _ in range(width)] for _ in range(3)]
+            for v in [[0] * width, *units, *draws]:
+                dense = [sum(a * b for a, b in zip(row, v)) for row in lp.int_rows]
+                assert lp.row_values(v) == dense
+        assert switches > 500
+
+    def test_feasibility_matches_fraction_rows(self, rng):
+        # Points on and off the simplex, with tau at, below and above the
+        # makespan, against the Fraction rows.
+        verdicts = []
+        for _ in range(300):
+            inst = random_instance(rng, max_agents=5)
+            matrix = random_full_matrix(rng, inst, rng.randint(1, 4))
+            lp = build_lp(matrix, inst)
+            n = lp.n
+            weights = [rng.randint(0, 3) for _ in range(n)]
+            weights[rng.randrange(n)] += 1
+            x = [F(w, sum(weights)) for w in weights]
+            if n > 1 and rng.random() < 0.3:
+                i, j = rng.sample(range(n), 2)
+                x[i] -= F(1, 5)
+                x[j] += F(1, 5)
+            elif rng.random() < 0.2:
+                x = [xj * F(6, 5) for xj in x]
+            tau = max(_dot(row[:n], x) for row in lp.speed_rows) + rng.choice((F(-1, 7), 0, F(1, 5)))
+            v = [*x, tau]
+            expected = (
+                min(x) >= 0
+                and sum(x) == 1
+                and all(_dot(row, v) >= 0 for row in _fraction_rows(lp))
+            )
+            assert satisfies_all_constraints(lp, tuple(x), tau) == expected
+            verdicts.append(expected)
+        assert 50 < sum(verdicts) < 250
+
+
 class TestSolvePartition:
     def test_two_agent_relay(self):
         x, tau = solve_partition(RELAY_M, TWO_ONE)

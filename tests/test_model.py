@@ -20,8 +20,13 @@ from bikesched import (
     one_abandonment_bound,
 )
 from bikesched.lp import LPContractError
-from bikesched.model import TIGHT_AVERAGE, verify_answer
-from conftest import random_feasible_schedule, random_instance
+from bikesched.model import TIGHT_AVERAGE, _arrivals, verify_answer
+from conftest import (
+    fraction_arrivals,
+    random_feasible_schedule,
+    random_instance,
+    reference_reading,
+)
 
 TWO_ONE = ProblemInstance(2, (F(1, 2),))
 RELAY_2 = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((1, 0), (0, 1))))
@@ -138,38 +143,6 @@ class TestFeasibility:
         assert check_feasible(sched, inst).ok
 
 
-def reference_reading(s, inst):
-    """Handovers and violations read straight off the matrix, cell by cell.
-
-    The dropper of a pickup is the first agent riding the bike in the
-    previous column; when that agent is the rider, the bike is kept, not
-    handed over.  Returns ``(handovers, violations)``: 0-based ``(picker,
-    dropper, column)`` and 1-based ``(condition, agent, column)`` triples,
-    both in column-major order.
-    """
-    rows = s.matrix.rows
-    m, n = s.agents, s.size
-    partial = completion_profile(s, inst).partial
-    handovers, violations = [], []
-    for j in range(n):
-        for i in range(m):
-            label = rows[i][j]
-            if label == 0:
-                continue
-            if any(rows[r][j] == label for r in range(i)):
-                violations.append((2, i + 1, j + 1))
-            if j == 0:
-                continue
-            riders = [r for r in range(m) if rows[r][j - 1] == label]
-            if not riders:
-                violations.append((1, i + 1, j + 1))
-            elif riders[0] != i:
-                handovers.append((i, riders[0], j))
-                if partial[riders[0]][j - 1] > partial[i][j - 1]:
-                    violations.append((3, i + 1, j + 1))
-    return handovers, violations
-
-
 class TestHandoverContract:
     def test_all_three_conditions_in_one_matrix(self):
         # Column 2: agent 2 picks up bike 1 before agent 1 (who waited) drops
@@ -250,6 +223,90 @@ class TestHandoverContract:
             )
             assert is_standard_form(sched, inst) == standard
         assert 500 < malformed < 1500
+
+
+def tie_prone_schedule(rng):
+    """A random schedule from few speeds and lengths, so that equal speeds,
+    zero-length columns and handovers at exactly equal arrival are common.
+    One draw in four takes speeds over 29 and lengths over 31, and half of
+    the draws carry waits, some of them over 37."""
+    m = rng.randint(1, 5)
+    b = rng.randint(0, m)
+    n = rng.randint(1, 5)
+    wide = rng.random() < 0.25
+    speeds = tuple(
+        F(rng.randint(1, 28), 29) if wide else F(rng.choice((1, 2, 2, 3)), 4)
+        for _ in range(b)
+    )
+    cols = [rng.sample([*range(1, b + 1)] + [0] * (m - b), m)]
+    for _ in range(n - 1):
+        col = list(cols[-1])
+        if rng.random() < 0.8:
+            rng.shuffle(col)
+        else:
+            col = [rng.randint(0, b) for _ in range(m)]
+        cols.append(col)
+    rows = tuple(tuple(col[i] for col in cols) for i in range(m))
+    partition = tuple(
+        F(rng.randint(0, 30), 31) if wide else F(rng.randint(0, 2), 4) for _ in range(n)
+    )
+    waits = None
+    if rng.random() < 0.5:
+        waits = tuple(
+            tuple(F(rng.choice((0, 0, 1, 2)), rng.choice((4, 8, 37))) for _ in range(n))
+            for _ in range(m)
+        )
+    inst = ProblemInstance(m, speeds, abandonment_limit=b)
+    return Schedule(partition, ScheduleMatrix(rows), waits), inst
+
+
+class TestIntegerArrivals:
+    """The integer arrival profile, and every check that reads it, against a
+    ``Fraction`` running sum."""
+
+    def test_profile_matches_fraction_running_sum(self):
+        rng = random.Random(0xA771)
+        waited = zeros = 0
+        for _ in range(1500):
+            sched, inst = tie_prone_schedule(rng)
+            ref = fraction_arrivals(sched, inst)
+            ints, den = _arrivals(sched, inst)
+            assert den > 0
+            assert [[F(t, den) for t in row] for row in ints] == ref
+            prof = completion_profile(sched, inst)
+            assert prof.partial == tuple(tuple(row) for row in ref)
+            assert prof.final == tuple(row[-1] for row in ref)
+            assert prof.makespan == max(row[-1] for row in ref)
+            waited += sched.waits is not None
+            zeros += 0 in sched.partition
+        assert waited > 500 and zeros > 500
+
+    def test_checks_match_fraction_reference(self):
+        rng = random.Random(0x71E5)
+        ties = sound_ties = sound_count = 0
+        for _ in range(1500):
+            sched, inst = tie_prone_schedule(rng)
+            handovers, violations = reference_reading(sched, inst)
+            report = check_feasible(sched, inst)
+            assert [(v.condition, v.agent, v.column) for v in report.violations] == violations
+            ref = fraction_arrivals(sched, inst)
+            tied = sum(ref[p][c - 1] == ref[d][c - 1] for p, d, c in handovers)
+
+            makespan = max(row[-1] for row in ref)
+            usage = abandonment_vector(sched, inst)
+            left = tuple((k, y) for k, y in enumerate(usage, start=1) if y < 1)
+            sound = not violations and sched.size <= inst.agents
+            ties += tied
+            sound_ties += sound and tied > 0
+            sound_count += sound
+            for value, ok in ((makespan, sound), (makespan + F(1, 10**9 + 7), False)):
+                cert = BoundCertificate(average_bound(inst), None, TIGHT_AVERAGE, value)
+                if ok:
+                    verify_answer(sched, inst, cert, left)
+                else:
+                    with pytest.raises(ContractError):
+                        verify_answer(sched, inst, cert, left)
+        assert ties > 300 and sound_ties > 20 and 300 < sound_count < 1200
 
 
 class TestAbandonment:

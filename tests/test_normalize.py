@@ -202,17 +202,18 @@ class TestReduce:
         assert standardize(red, inst) == (red, StandardFormReport(0, 0, 0))
 
     def test_checks_feasibility_once_per_call(self, monkeypatch):
-        # Only the caller's input is checked with a completion profile; every
-        # vertex is checked against its round's LP.
+        # One integer arrival profile of the caller's input serves both its
+        # feasibility check and the starting makespan; every vertex is
+        # checked against its round's LP.
         import bikesched.normalize as nz
 
         calls = []
 
-        def spy(s, inst_, _real=nz.check_feasible):
+        def spy(s, inst_, _real=nz._arrivals):
             calls.append(s)
             return _real(s, inst_)
 
-        monkeypatch.setattr(nz, "check_feasible", spy)
+        monkeypatch.setattr(nz, "_arrivals", spy)
         inst = ProblemInstance(5, (F(1, 2), F(51, 100), F(52, 100)))
         red = reduce_schedule(relay_reference(inst).matrix, inst)
         assert len(calls) == 1
