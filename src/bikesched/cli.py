@@ -13,17 +13,19 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from .model import (
     ContractError,
     ProblemInstance,
+    _arrivals,
+    _violations,
     abandonment_vector,
-    check_feasible,
     completion_profile,
 )
 from .bs import solve_bs
-from .normalize import is_standard_form
+from .normalize import _is_standard_form
 from .oracle import BudgetExceededError, EnumerationBudget, brute_force_bs, brute_force_rbs
 from .rational import format_fraction
 from .rbs import UnsupportedAbandonmentError, solve_rbs
@@ -97,17 +99,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        report = check_feasible(sched, inst)
+        partial, den = _arrivals(sched, inst)  # read by every check below
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if not report.ok:
-        for v in report.violations:
+    violations = _violations(sched.matrix, partial)
+    if violations:
+        for v in violations:
             print(f"violation of condition {v.condition} at agent {v.agent}, column {v.column}")
         return EXIT_INFEASIBLE
-    profile = completion_profile(sched, inst)
-    print(f"feasible; makespan {format_fraction(profile.makespan)}")
-    if not is_standard_form(sched, inst):
+    makespan = Fraction(max([row[-1] for row in partial]), den)
+    print(f"feasible; makespan {format_fraction(makespan)}")
+    if not _is_standard_form(sched, partial):
         print("note: schedule is not in standard form")
     return EXIT_OK
 

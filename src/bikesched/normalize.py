@@ -129,10 +129,15 @@ def standardize(
 def is_standard_form(s: Schedule, inst: ProblemInstance) -> bool:
     """True when a feasible schedule has no zero columns, no consecutive
     identical columns, and strictly earlier dropper arrival at every handover."""
+    return _is_standard_form(s, _arrivals(s, inst)[0])
+
+
+def _is_standard_form(s: Schedule, partial: list[list[int]]) -> bool:
+    """``is_standard_form`` read off the schedule's arrival profile
+    ``partial`` (``model._arrivals``)."""
     cols = s.matrix.columns()
     if 0 in s.partition or any(a == b for a, b in zip(cols, cols[1:])):
         return False
-    partial, _ = _arrivals(s, inst)
     return all(
         partial[picker][col - 1] != partial[dropper][col - 1]
         for picker, dropper, col in handovers(s.matrix)

@@ -6,8 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from bikesched import ProblemInstance, Schedule, ScheduleMatrix, solve_partition
+
+# Every run draws the same examples: no random seed, no example database
+# carried between runs, and no per-example deadline on a loaded machine.
+settings.register_profile("bikesched", derandomize=True, database=None, deadline=None)
+settings.load_profile("bikesched")
 
 
 def random_instance(

@@ -151,6 +151,26 @@ class TestVerifyCommand:
         assert "feasible" in printed
         assert "not in standard form" in printed
 
+    def test_one_arrival_profile_per_verify(self, problem_rbs, tmp_path, monkeypatch, capsys):
+        import bikesched.cli as cli
+        import bikesched.model as model
+        import bikesched.normalize as nz
+
+        out = tmp_path / "sched.json"
+        main(["solve", "--in", str(problem_rbs), "--out", str(out)])
+        capsys.readouterr()
+        calls = []
+
+        def spy(s, inst, _real=model._arrivals):
+            calls.append(s)
+            return _real(s, inst)
+
+        for module in (model, nz, cli):
+            monkeypatch.setattr(module, "_arrivals", spy, raising=False)
+        assert main(["verify", "--schedule", str(out), "--problem", str(problem_rbs)]) == 0
+        assert capsys.readouterr().out.startswith("feasible; makespan ")
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("legs", ["growing", "shrinking"])
     def test_dozens_of_large_prime_denominators(self, tmp_path, capsys, legs):
         # Two agents relay one bike over 48 columns of length 1/p, for

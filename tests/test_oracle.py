@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+
+import bikesched.oracle as oracle
 
 from bikesched import (
     BudgetExceededError,
@@ -94,6 +97,77 @@ class TestPruning:
             assert (
                 brute_force_rbs(inst, fast)[0] == brute_force_rbs(inst, slow)[0]
             )
+
+    @pytest.mark.parametrize(
+        "m, us, limit, columns",
+        [
+            # Two equal speeds and two first-column walkers: both skips bite.
+            *[(4, (F(1, 2), F(1, 2)), limit, None) for limit in (0, 1, 2)],
+            # One bike, three walkers: only the walker order bites.
+            *[(4, (F(1, 3),), limit, None) for limit in (0, 1)],
+            # Three equal speeds; two equal and a lagging bike.
+            *[(4, (F(3, 4),) * 3, limit, 3) for limit in (0, 1, 2)],
+            *[(4, (F(1, 4), F(1, 4), F(4, 5)), limit, 3) for limit in (1, 2)],
+            *[(3, (F(1, 4), F(1, 4), F(4, 5)), limit, None) for limit in (1, 2)],
+        ],
+    )
+    def test_orbit_skip_equals_exhaustive(self, m, us, limit, columns, monkeypatch):
+        inst = ProblemInstance(m, us, abandonment_limit=limit)
+        skipped = []
+        leader = oracle._is_leader
+
+        def spy(rows, riders, relabelings):
+            kept = leader(rows, riders, relabelings)
+            skipped.append(not kept)
+            return kept
+
+        monkeypatch.setattr(oracle, "_is_leader", spy)
+        tau, witness, _ = brute_force_rbs(inst, EnumerationBudget(max_columns=columns), limit)
+        assert any(skipped)
+        # Without pruning every enumerated matrix gets its LP.
+        solves = []
+        solve = oracle.solve_partition
+        monkeypatch.setattr(oracle, "solve_partition", lambda *a: solves.append(1) or solve(*a))
+        slow = EnumerationBudget(max_columns=columns, prune=False)
+        assert brute_force_rbs(inst, slow, limit)[0] == tau
+        assert len(solves) == sum(
+            1
+            for family in oracle._families(inst, limit, columns or m)
+            for _ in oracle._family_matrices(inst, family, {})
+        )
+        assert check_feasible(witness, inst).ok
+        assert completion_profile(witness, inst).makespan == tau
+
+    def test_one_leader_per_orbit(self):
+        # Every matrix of every family is enumerated.  Two matrices lie in
+        # one orbit exactly when some equal-speed relabeling and some row
+        # permutation map one onto the other, so the least sorted-row tuple
+        # over the relabelings names the orbit.  The families below the
+        # optimum 19/32 are those the pruned search visits.
+        us = (F(1, 4), F(1, 4), F(4, 5))
+        inst = ProblemInstance(4, us, abandonment_limit=1)
+        maps = [
+            (0, *p) for p in itertools.permutations((1, 2, 3))
+            if all(us[k - 1] == us[i] for i, k in enumerate(p))
+        ]
+        relabelings = oracle._relabelings(inst)
+        counts = {}
+        for below in (False, True):
+            matrices = leaders = 0
+            keys = set()
+            for family in oracle._families(inst, 1, 4):
+                if below and family.bound >= F(19, 32):
+                    continue
+                for rows in oracle._family_matrices(inst, family, {}):
+                    matrices += 1
+                    leaders += oracle._is_leader(rows, family.riders, relabelings)
+                    keys.add(min(
+                        tuple(sorted([tuple([label[c] for c in row]) for row in rows]))
+                        for label in maps
+                    ))
+            assert leaders == len(keys)
+            counts[below] = (matrices, leaders)
+        assert counts == {False: (50_880, 24_394), True: (11_256, 5_646)}
 
     def test_family_bound_is_lowest_column_average(self):
         # Each family's bound is the larger of its final-column bikes' u_k
