@@ -37,7 +37,6 @@ from .bs import (
     expand_with_partition,
     relay_reference,
     relay_schedule,
-    solo_split,
     solve_bs,
 )
 from .rbs import (
@@ -45,7 +44,6 @@ from .rbs import (
     UnsupportedAbandonmentError,
     abandon_slowest,
     shared_prefix,
-    solo_split_relaxed,
     solve_rbs,
 )
 from .waiting import remove_all_waits
@@ -97,8 +95,6 @@ __all__ = [
     "relay_schedule",
     "remove_all_waits",
     "shared_prefix",
-    "solo_split",
-    "solo_split_relaxed",
     "solve_bs",
     "solve_partition",
     "solve_rbs",

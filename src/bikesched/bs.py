@@ -16,9 +16,19 @@ reduced schedule per distinct subproblem and reduces after every step, giving
 size at most m in polynomial time.  Both lay out nested columns (group
 blocks stacked on solo riders) and hand them to one splicer, ``splice``,
 which reads each column's paces and meeting point off the columns
-themselves; the one-abandonment schedule of ``rbs`` uses it too.  When the
-slowest bike is too slow, the optimum instead dedicates solo riders to the
-slowest bikes (``solve_bs``).
+themselves; the one-abandonment schedule of ``rbs`` uses it too.
+
+When the slowest bike lags (u_b above the average bound), ``solve_bs`` gives
+it a solo rider and solves the other m-1 agents with bikes 1..b-1, one level
+at a time.  This is exact.  By definition m*avg(m, u) = (m-1)*avg(m-1, u') +
+u_b for u' = u_1..u_{b-1}, so avg(m, u) is a weighted mean of avg(m-1, u')
+and u_b, and u_b > avg(m, u) exactly when u_b > avg(m-1, u').  The rest
+therefore finishes by max(u_{b-1}, avg(m-1, u')) <= u_b, and the answer
+ties at u_b, which no schedule beats.  Level j stops at the first j with
+u_{b-j} <= avg(m-j, u_1..u_{b-j}), the smallest number of solo riders after
+which the remaining bikes keep up.  One bike never lags: u_1 > 1 - (1-u_1)/m
+would need (1-u_1)(1/m - 1) > 0, impossible for u_1 < 1 <= m; so the
+recursion always ends.
 """
 
 from __future__ import annotations
@@ -245,31 +255,20 @@ def relay_schedule(inst: ProblemInstance) -> Schedule:
     return table[b]
 
 
-def solo_split(inst: ProblemInstance) -> int:
-    """Smallest number k of dedicated solo riders for the slowest k bikes such
-    that the remaining agents can relay the remaining bikes at least as fast.
-
-    Only meaningful when the slowest bike is the bottleneck (u_b above the
-    average bound); the returned k in [1, b-1] satisfies
-    u_{b-k} <= average bound of (m-k agents, fastest b-k bikes) <= u_b.
-    """
-    m, b = inst.agents, inst.bikes
-    u = inst.inverse_speeds
-    if b == 0 or inst.slowest <= average_bound(inst):
-        raise ValueError("solo riders only help when the slowest bike lags")
-    for k in range(1, b):
-        rest = ProblemInstance(m - k, u[: b - k])
-        if u[b - k - 1] <= average_bound(rest):
-            return k
-    raise ValueError("no valid solo split; instance violates the precondition")
+def _with_solo_row(s: Schedule, bike: int) -> Schedule:
+    """``s`` with one more agent riding ``bike`` alone in every column: the
+    solo rider's single column refined to ``s``'s partition."""
+    return Schedule(s.partition, ScheduleMatrix(s.matrix.rows + ((bike,) * s.size,)))
 
 
 def solve_bs(inst: ProblemInstance) -> tuple[Schedule, BoundCertificate]:
     """Optimal full-delivery schedule and its tight lower bound.
 
     The makespan is exactly max(u_b, average bound): the relay achieves the
-    average bound when every bike keeps up, otherwise the k slowest bikes get
-    solo riders (finishing at u_b) stacked under the relay of the rest.
+    average bound when every bike keeps up; otherwise bike b gets a solo
+    rider (finishing at u_b) stacked under the recursive solve of the other
+    m-1 agents with bikes 1..b-1, which finishes no later (module docstring).
+    Every level checks its own answer.
     """
     t_avg = average_bound(inst)
     m, b = inst.agents, inst.bikes
@@ -282,14 +281,8 @@ def solve_bs(inst: ProblemInstance) -> tuple[Schedule, BoundCertificate]:
             value=t_avg,
         )
     else:
-        k = solo_split(inst)
-        shared = relay_schedule(ProblemInstance(m - k, inst.inverse_speeds[: b - k]))
-        solo_rows = tuple([
-            (b - k + i + 1,) * shared.size for i in range(k)
-        ])  # solo columns refined to the shared partition
-        sched = Schedule(
-            shared.partition, ScheduleMatrix(shared.matrix.rows + solo_rows)
-        )
+        rest, _ = solve_bs(ProblemInstance(m - 1, inst.inverse_speeds[: b - 1]))
+        sched = _with_solo_row(rest, b)
         cert = BoundCertificate(
             average=t_avg, slowest=inst.slowest, tight=TIGHT_SLOWEST, value=inst.slowest
         )

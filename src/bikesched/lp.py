@@ -16,8 +16,9 @@ equality, and two pivots reach its basis.  Every LP is solved in one shot
 with all of its pickup rows.
 
 One fraction-free kernel does all elimination, on Python ints (Edmonds 1967;
-Bareiss 1968).  ``PartitionLP`` scales the inverse speeds s once by the lcm
-of their denominators.  An agent row is then scale * tau - S_i(n) and a
+Bareiss 1968).  ``PartitionLP`` holds the inverse speeds s as ints over
+one scale, the lcm of the instance's denominators (``ProblemInstance``
+keeps that table).  An agent row is then scale * tau - S_i(n) and a
 pickup row S_p(col) - S_d(col), in the prefix sums S_i(c) = sum_{k<c} s_ik
 x_k, so ``row_values`` evaluates all R rows in O(m n + R), for the slide and
 the feasibility check; the dense ``int_rows`` serve the simplex and the
@@ -31,9 +32,9 @@ the objective value) and of the echelon of tight constraints behind
 ``vertex_from_point`` and ``tight_constraint_rank``.  Every decision depends
 only on signs and on ratios compared by cross-multiplication, which positive
 row factors leave alone, so the pivots and answers are those of exact
-rational elimination.  ``Fraction`` appears only at the boundary: inverse
-speeds and start points come in as ``Fraction``, answers go out as
-``Fraction`` in lowest terms.
+rational elimination.  ``Fraction`` appears only at the boundary: start
+points come in as ``Fraction``, answers go out as ``Fraction`` in lowest
+terms.
 
 A broken solver contract raises ``LPContractError`` (a ``ContractError``),
 never ``assert``, so the checks also run under ``python -O``.
@@ -71,36 +72,30 @@ class LPContractError(ContractError):
 class PartitionLP:
     """The constraint system for one schedule matrix.
 
-    Variables are the n interval lengths plus the makespan.  ``speed_rows``
-    holds the induced inverse speeds (one row per agent); ``switches`` holds
-    one ``(picker, dropper, column)`` triple per bike handover, all 0-based:
-    the picker takes, at the start of ``column``, the bike the dropper rode in
-    ``column - 1``, which requires the dropper to arrive there first.
+    Variables are the n interval lengths plus the makespan.  ``speeds``
+    holds the induced inverse speeds (one row per agent) as ints over
+    ``scale``; ``switches`` holds one ``(picker, dropper, column)`` triple
+    per bike handover, all 0-based: the picker takes, at the start of
+    ``column``, the bike the dropper rode in ``column - 1``, which requires
+    the dropper to arrive there first.
     """
 
     n: int
-    speed_rows: tuple[tuple[Fraction, ...], ...]
+    speeds: tuple[tuple[int, ...], ...]
+    scale: int
     switches: tuple[tuple[int, int, int], ...]
 
     @property
     def agents(self) -> int:
-        return len(self.speed_rows)
-
-    def __post_init__(self) -> None:
-        # The inverse speeds as ints over their lcm, by agent, and the lcm:
-        # every use of the LP needs them, so they are built with it.
-        flat, scale = _integral([c for row in self.speed_rows for c in row])
-        rows = [flat[i : i + self.n] for i in range(0, len(flat), self.n)]
-        object.__setattr__(self, "_scaled", (rows, scale))
+        return len(self.speeds)
 
     @cached_property
     def int_rows(self) -> list[list[int]]:
         """Every inequality as an integer row a over (x, tau) with
         a . (x, tau) >= 0: tau - t_i for each agent, then for each handover
         the picker's time minus the dropper's at its column, which has no tau
-        term.  The rows are scaled by the least common multiple of the
-        inverse speeds' denominators."""
-        s, scale = self._scaled
+        term, scaled by ``scale``."""
+        s, scale = self.speeds, self.scale
         agents = [[-c for c in row] + [scale] for row in s]
         pickups = [
             [s[p][k] - s[d][k] for k in range(col)] + [0] * (self.n - col + 1)
@@ -110,9 +105,8 @@ class PartitionLP:
 
     def row_values(self, v) -> list[int]:
         """``int_rows . v`` at an integer vector v over (x, tau), from agent prefix sums."""
-        s, scale = self._scaled
-        sums = [list(accumulate(map(mul, row, v), initial=0)) for row in s]
-        n, tau = self.n, scale * v[self.n]
+        sums = [list(accumulate(map(mul, row, v), initial=0)) for row in self.speeds]
+        n, tau = self.n, self.scale * v[self.n]
         return [tau - si[n] for si in sums] + [sums[p][c] - sums[d][c] for p, d, c in self.switches]
 
 
@@ -120,13 +114,18 @@ def build_lp(matrix: ScheduleMatrix, inst: ProblemInstance) -> PartitionLP:
     """Collect the LP constraint system for a matrix.
 
     Rejects matrices with a bike ridden twice in one column or appearing out
-    of nowhere; those have no feasible partition at all.
+    of nowhere, which have no feasible partition at all, and labels above
+    the instance's bike count.  The speeds are read off the instance's
+    integer label speed table.
     """
     broken = structural_violations(matrix)
     if broken:
         raise ValueError(f"no partition makes this matrix feasible: {broken}")
-    speeds = tuple([tuple([inst.speed_of(c) for c in r]) for r in matrix.rows])
-    return PartitionLP(matrix.size, speeds, handovers(matrix))
+    if matrix.max_label() > inst.bikes:
+        raise ValueError(f"bike label {matrix.max_label()} out of range [0, {inst.bikes}]")
+    speed, scale = inst._label_speeds
+    speeds = tuple([tuple([speed[c] for c in r]) for r in matrix.rows])
+    return PartitionLP(matrix.size, speeds, scale, handovers(matrix))
 
 
 def solve_partition(
@@ -164,7 +163,7 @@ def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     # the agent rows change.  tau then enters the row of the agent slowest in
     # the last column, which leaves every other agent row's slack >= 0.
     _pivot(rows, basis, n_ineq, n - 1)
-    slowest = max(range(m), key=lambda i: lp.speed_rows[i][n - 1])
+    slowest = max(range(m), key=lambda i: lp.speeds[i][n - 1])
     _pivot(rows, basis, slowest, n)
     if any(rows[r][-1] < 0 for r in range(n_ineq + 1)):
         raise LPContractError("the final-column start is not feasible")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -101,6 +102,12 @@ class ProblemInstance:
         if not 1 <= label <= self.bikes:
             raise ValueError(f"bike label {label} out of range [0, {self.bikes}]")
         return self.inverse_speeds[label - 1]
+
+    @cached_property
+    def _label_speeds(self) -> tuple[list[int], int]:
+        """The inverse speed of every label (0 walks) as ints over their lcm,
+        and the lcm: the one integer speed table of every exact check."""
+        return _integral((ONE, *self.inverse_speeds))
 
 
 @dataclass(frozen=True)
@@ -266,13 +273,13 @@ def _integral(values) -> tuple[list[int], int]:
 
 def _arrivals(s: Schedule, inst: ProblemInstance) -> tuple[list[list[int]], int]:
     """Every partial arrival time t[i][j] as an int over one positive common
-    denominator, and that denominator: inverse speeds (label 0 walks) over
-    their lcm, times lengths and waits over theirs."""
+    denominator, and that denominator: the instance's label speed table
+    over its lcm, times lengths and waits over theirs."""
     if s.agents != inst.agents:
         raise ValueError(f"schedule has {s.agents} rows but instance has {inst.agents} agents")
     if s.matrix.max_label() > inst.bikes:
         raise ValueError("matrix labels exceed the instance's bike count")
-    speed, den = _integral((ONE, *inst.inverse_speeds))
+    speed, den = inst._label_speeds
     n = s.size
     waits = [w for row in s.waits for w in row] if s.waits is not None else []
     ints, x_den = _integral((*s.partition, *waits))

@@ -20,7 +20,6 @@ from typing import Optional
 
 from .lp import build_lp, satisfies_all_constraints, solve_partition, vertex_from_point
 from .model import (
-    ONE,
     ZERO,
     ContractError,
     ProblemInstance,
@@ -62,7 +61,7 @@ def _sweep(
     labels = [list(row) for row in rows]
     out_cols: list[tuple[int, ...]] = []
     out_x: list[Fraction] = []
-    speed, _ = _integral((ONE, *inst.inverse_speeds))  # by label; 0 walks
+    speed, _ = inst._label_speeds  # by label; 0 walks
     length, _ = _integral(partition)
     reach = [0] * m  # arrival through the columns kept so far
     zero_removed = merged = swaps = repaired = 0

@@ -23,7 +23,7 @@ enumeration and every optimal makespan unchanged: permuting the rows that
 walk in the first column (the canonical column fixes only the rider rows),
 and relabeling bikes of equal inverse speed, followed by the row reorder
 that puts the first column back in canonical order.  Under either map a
-matrix's ``PartitionLP`` is the same LP with the agents renamed -- speed rows
+matrix's ``PartitionLP`` is the same LP with the agents renamed -- its speeds
 depend only on each label's inverse speed, and handovers follow bike
 identity -- so its optimum is the same.  The image lies in an enumerated
 family with the same column count and the same bound, because the
@@ -107,19 +107,16 @@ def brute_force_bs(
 
 
 def brute_force_rbs(
-    inst: ProblemInstance,
-    budget: EnumerationBudget = EnumerationBudget(),
-    abandon_limit: Optional[int] = None,
+    inst: ProblemInstance, budget: EnumerationBudget = EnumerationBudget()
 ) -> tuple[Fraction, Schedule, tuple[Fraction, ...]]:
-    """Exact optimum when up to ``abandon_limit`` bikes may retire early.
+    """Exact optimum when up to ``inst.abandonment_limit`` bikes may retire
+    early.
 
-    The limit defaults to the instance's own.  Any limit is accepted here
-    (the search just grows); limits >= 2 are exploratory only -- no fast
-    solver exists to cross-check them.
+    Any limit is accepted here (the search just grows); limits >= 2 are
+    exploratory only -- no fast solver exists to cross-check them.
     """
     budget.check(inst)
-    limit = inst.abandonment_limit if abandon_limit is None else abandon_limit
-    tau, sched = _search(inst, budget, abandon_limit=limit)
+    tau, sched = _search(inst, budget, abandon_limit=inst.abandonment_limit)
     return tau, sched, abandonment_vector(sched, inst)
 
 

@@ -14,6 +14,22 @@ abandoning schedule only lays out its nested columns; ``bs.splice``, the
 splicer of the full-delivery relay, sizes and expands them, and
 ``normalize.reduce_schedule`` brings the result down to at most m columns.
 
+The second-slowest recursion peels one solo rider per level and is exact.
+Level j solves rest_j: m-j agents with u_1..u_{b-j-1} and u_b, limit 1.  It
+stops when u_{b-j-1} <= t_one(rest_j), the one-abandonment bound: when the
+slowest bike of rest_j keeps up, t_one(rest_j) is its average bound >= u_b,
+so that case stops too.  The answer then needs t_one(rest_j) <= u_{b-1},
+which holds without a check.  Write A_y(I) for the average bound of I with
+bike b ridden to y and L(y) = u_1 + y*(u_b - u_1) for the abandoning
+agent's time, so t_one(I) = L(y*) where the falling A_y meets the rising L
+(or A_1 when bike b keeps up).  A level that recurses peels a bike w slower
+than its bound t_one(I), and m*A_y(I) = (m-1)*A_y(I') + w, so A_y(I') <
+A_y(I) wherever A_y(I) < w: removing w together with its rider moves the
+crossing down.  Hence t_one(rest_j) < ... < t_one(inst) < u_{b-1}, the last
+step being why the top level took this branch.  The rest finishes by
+u_{b-1}, the solo rider of bike b-1 arrives exactly then, and two bikes
+always stop, since u_1 <= t_one.
+
 The reduction keeps the abandonment.  By condition 1 a bike in the final
 column is ridden in every column, so it is delivered.  The reducer's sweeps
 only delete zero-length columns, merge identical ones and permute a column's
@@ -31,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bs import NestedColumn, relay_schedule, solve_bs, splice
+from .bs import NestedColumn, _with_solo_row, relay_schedule, solve_bs, splice
 from .model import (
     ONE,
     TIGHT_ONE_ABANDONED,
@@ -101,7 +117,7 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
     t_one, y_star = one_abandonment_bound(inst)
     if u[b - 2] > t_one:
         raise ValueError(
-            "second-slowest bike is also a bottleneck; use the solo split"
+            "second-slowest bike is also a bottleneck; it needs a solo rider"
         )
     q = shared_prefix(inst)
     walkers = m - b
@@ -136,33 +152,14 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
     return RbsSolution(sched, abandonment_vector(sched, inst), cert, ((b, y_star),))
 
 
-def solo_split_relaxed(inst: ProblemInstance) -> int:
-    """Smallest k such that giving the k slowest *deliverable* bikes solo
-    riders leaves a crew that can finish, abandoning the slowest bike, by the
-    time bike b-1 arrives.
-
-    Applies when both the slowest and second-slowest bikes lag their bounds;
-    the returned k in [1, b-2] satisfies
-    u_{b-k-1} <= one-abandonment bound of (m-k, {u_1..u_{b-k-1}, u_b}) <= u_{b-1}.
-    """
-    m, b = inst.agents, inst.bikes
-    u = inst.inverse_speeds
-    for k in range(1, b - 1):
-        rest = ProblemInstance(m - k, u[: b - k - 1] + (u[-1],))
-        bound, _ = one_abandonment_bound(rest)
-        if u[b - k - 2] <= bound <= u[b - 2]:
-            return k
-    raise ValueError("no valid solo split; preconditions violated")
-
-
 def solve_rbs(inst: ProblemInstance) -> RbsSolution:
     """Optimal schedule under the instance's abandonment limit (0 or 1).
 
     Dispatch for limit 1: nothing abandoned when the slowest bike keeps up
     (makespan = average bound); otherwise abandon it at y* (makespan = the
     one-abandonment bound) unless the second-slowest bike lags too, in which
-    case the k slowest deliverable bikes ride solo above a recursive solve
-    and the makespan is exactly u_{b-1}.
+    case bike b-1 rides solo above the recursive solve of the other m-1
+    agents with bike b-1 left out, and the makespan is exactly u_{b-1}.
     """
     limit = inst.abandonment_limit
     if limit >= 2:
@@ -180,13 +177,10 @@ def solve_rbs(inst: ProblemInstance) -> RbsSolution:
     if u[b - 2] <= t_one:
         return abandon_slowest(inst)
 
-    k = solo_split_relaxed(inst)
-    rest = ProblemInstance(m - k, u[: b - k - 1] + (u[-1],), abandonment_limit=1)
-    inner = solve_rbs(rest)
-    # Bike b - k in the subproblem is the original bike b.
-    lifted = _relabeled(inner.schedule, lambda lab: b if lab == b - k else lab)
-    solo_rows = tuple([(b - k + i,) * lifted.size for i in range(k)])
-    sched = Schedule(lifted.partition, ScheduleMatrix(lifted.matrix.rows + solo_rows))
+    inner = solve_rbs(ProblemInstance(m - 1, u[: b - 2] + (u[-1],), abandonment_limit=1))
+    # Bike b - 1 in the subproblem is the original bike b.
+    lifted = _relabeled(inner.schedule, lambda lab: b if lab == b - 1 else lab)
+    sched = _with_solo_row(lifted, b - 1)
     usage = abandonment_vector(sched, inst)
     abandoned = tuple([(bike + 1, pos) for bike, pos in enumerate(usage) if pos < ONE])
     cert = BoundCertificate(

@@ -102,6 +102,8 @@ def dump_schedule(payload: dict) -> str:
 
 
 def parse_schedule(data: Any) -> Schedule:
+    """Check a schedule dict's shape; ``Schedule`` and ``ScheduleMatrix``
+    convert and check every entry (exact rationals, integer labels)."""
     if not isinstance(data, dict):
         raise ValueError("schedule file must be a JSON object")
     try:
@@ -116,17 +118,7 @@ def parse_schedule(data: Any) -> Schedule:
         raise ValueError("field 'waits' must be a list or null")
     if not all(isinstance(row, list) for row in matrix + (waits or [])):
         raise ValueError("matrix and waits rows must be lists")
-    xs = tuple(to_fraction(x) for x in partition)
-    rows = []
-    for row in matrix:
-        for label in row:
-            if not isinstance(label, int):
-                raise ValueError(f"matrix entries must be integers, got {label!r}")
-        rows.append(tuple(row))
-    parsed_waits = None
-    if waits is not None:
-        parsed_waits = tuple(tuple(to_fraction(w) for w in row) for row in waits)
-    return Schedule(xs, ScheduleMatrix(tuple(rows)), parsed_waits)
+    return Schedule(partition, ScheduleMatrix(matrix), waits)
 
 
 def load_schedule(path: str) -> Schedule:

@@ -17,7 +17,6 @@ from bikesched import (
     expand_with_partition,
     relay_reference,
     relay_schedule,
-    solo_split,
     solve_bs,
 )
 from bikesched.bs import solve_sync_partition, splice
@@ -207,19 +206,31 @@ class TestRelaySchedule:
 
 class TestSoloSplit:
     @pytest.mark.parametrize(
-        "m, us, expected",
+        "m, us, k",
         [
             (2, (F(1, 3), F(1, 2)), 1),
             (4, (F(1, 5), F(9, 10), F(19, 20)), 2),
             (3, (F(1, 2), F(4, 5)), 1),
         ],
     )
-    def test_examples(self, m, us, expected):
-        assert solo_split(ProblemInstance(m, us)) == expected
+    def test_examples(self, m, us, k):
+        # The k slowest bikes ride solo under the relay of the rest.
+        b = len(us)
+        sched, cert = solve_bs(ProblemInstance(m, us))
+        rest = relay_schedule(ProblemInstance(m - k, us[: b - k]))
+        assert sched.partition == rest.partition
+        assert sched.matrix.rows[: m - k] == rest.matrix.rows
+        assert sched.matrix.rows[m - k :] == tuple(
+            (bike,) * rest.size for bike in range(b - k + 1, b + 1)
+        )
+        assert cert.tight == TIGHT_SLOWEST
 
     def test_requires_lagging_bike(self):
-        with pytest.raises(ValueError):
-            solo_split(ProblemInstance(2, (F(1, 2),)))
+        # Nothing lags, so no bike gets a solo rider: the answer is the relay.
+        inst = ProblemInstance(2, (F(1, 2),))
+        sched, cert = solve_bs(inst)
+        assert sched == relay_schedule(inst)
+        assert cert.tight == TIGHT_AVERAGE
 
 
 class TestSolveBs:

@@ -242,6 +242,30 @@ class TestVerifyCommand:
         assert main(["verify", "--schedule", str(sched), "--problem", str(problem_bs)]) == 2
         assert main(["render", "--schedule", str(sched), "--out", str(tmp_path / "s.svg")]) == 2
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"partition": [0.5]},
+            {"partition": ["x"]},
+            {"partition": [None]},
+            {"matrix": [["1"], [0]]},
+            {"matrix": [[1.0], [0]]},
+            {"matrix": [[-1], [0]]},
+            {"matrix": []},
+            {"waits": [[0.5], ["0"]]},
+            {"waits": [["0.1.2"], ["0"]]},
+        ],
+        ids=[
+            "partition-float", "partition-text", "partition-null", "label-text",
+            "label-float", "label-negative", "matrix-empty", "wait-float", "wait-text",
+        ],
+    )
+    def test_bad_entry_exit_2(self, problem_bs, tmp_path, field):
+        sched = tmp_path / "s.json"
+        write_json(sched, {"partition": ["1"], "matrix": [[1], [0]], "waits": None} | field)
+        assert main(["verify", "--schedule", str(sched), "--problem", str(problem_bs)]) == 2
+        assert main(["render", "--schedule", str(sched), "--out", str(tmp_path / "s.svg")]) == 2
+
 
 class TestRenderCommand:
     def test_deterministic_svg(self, problem_rbs, tmp_path):

@@ -41,7 +41,9 @@ class TestBuildLp:
         assert lp.agents == 2
         # One handover: agent 2 takes over at column 2 from agent 1.
         assert lp.switches == ((1, 0, 1),)
-        assert lp.speed_rows == ((F(1, 2), F(1)), (F(1), F(1, 2)))
+        # Inverse speeds 1/2 and 1 as ints over their lcm 2.
+        assert (lp.speeds, lp.scale) == (((1, 2), (2, 1)), 2)
+        assert _speed_rows(lp) == ((F(1, 2), F(1)), (F(1), F(1, 2)))
         # Scaled by 2: tau - t_1, tau - t_2, then the pickup row, whose
         # positive sign says agent 2 may not pick up before agent 1 arrives.
         assert lp.int_rows == [[-1, -2, 2], [-2, -1, 2], [1, 0, 0]]
@@ -62,6 +64,10 @@ class TestBuildLp:
     def test_rejects_teleporting_bike(self):
         with pytest.raises(ValueError):
             build_lp(ScheduleMatrix(((0, 1), (0, 0))), TWO_ONE)
+
+    def test_rejects_label_above_bike_count(self):
+        with pytest.raises(ValueError, match="out of range"):
+            build_lp(ScheduleMatrix(((2,), (0,))), TWO_ONE)
 
 
 class TestRowValues:
@@ -104,7 +110,7 @@ class TestRowValues:
                 x[j] += F(1, 5)
             elif rng.random() < 0.2:
                 x = [xj * F(6, 5) for xj in x]
-            tau = max(_dot(row[:n], x) for row in lp.speed_rows) + rng.choice((F(-1, 7), 0, F(1, 5)))
+            tau = max(_dot(row[:n], x) for row in _speed_rows(lp)) + rng.choice((F(-1, 7), 0, F(1, 5)))
             v = [*x, tau]
             expected = (
                 min(x) >= 0
@@ -242,7 +248,7 @@ class TestFinalColumnStart:
     @staticmethod
     def _start(lp):
         x = (F(0),) * (lp.n - 1) + (F(1),)
-        return x, max(speeds[-1] for speeds in lp.speed_rows)
+        return x, max(speeds[-1] for speeds in _speed_rows(lp))
 
     def test_random_full_matrices(self, rng):
         for _ in range(300):
@@ -263,7 +269,7 @@ class TestFinalColumnStart:
     def test_infeasible_start_raises(self):
         # A negative inverse speed puts tau below zero at the start.
         with pytest.raises(LPContractError):
-            solve_lp(PartitionLP(1, ((F(-1),),), ()))
+            solve_lp(PartitionLP(1, ((-1,),), 1, ()))
 
 
 def _elimination_rank(rows) -> int:
@@ -282,13 +288,19 @@ def _elimination_rank(rows) -> int:
     return rank
 
 
+def _speed_rows(lp):
+    """The induced inverse speeds of every agent as Fractions."""
+    return tuple([tuple([F(c, lp.scale) for c in row]) for row in lp.speeds])
+
+
 def _fraction_rows(lp):
     """Every inequality a . (x, tau) >= 0 as Fractions, from the speed rows
     and handovers alone: tau - t_i for each agent, then for each handover the
     picker's time minus the dropper's at its column."""
-    rows = [[-c for c in speeds] + [F(1)] for speeds in lp.speed_rows]
+    speed_rows = _speed_rows(lp)
+    rows = [[-c for c in speeds] + [F(1)] for speeds in speed_rows]
     for picker, dropper, col in lp.switches:
-        p, d = lp.speed_rows[picker], lp.speed_rows[dropper]
+        p, d = speed_rows[picker], speed_rows[dropper]
         rows.append([p[k] - d[k] for k in range(col)] + [F(0)] * (lp.n - col + 1))
     return rows
 
@@ -385,7 +397,7 @@ def _assert_kernel_answers(lp, rng):
     assert _in_lowest_terms((*x, tau))
     t = F(rng.randint(1, 5), 6)
     start = tuple(t * xj + (1 - t) * F(int(j == lp.n - 1)) for j, xj in enumerate(x))
-    start_tau = max(sum(s * xj for s, xj in zip(speeds, start)) for speeds in lp.speed_rows)
+    start_tau = max(sum(s * xj for s, xj in zip(speeds, start)) for speeds in _speed_rows(lp))
     vx, vtau = vertex_from_point(lp, start, start_tau)
     assert vtau <= start_tau
     assert satisfies_all_constraints(lp, vx, vtau)

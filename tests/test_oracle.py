@@ -68,15 +68,15 @@ class TestBruteForceRbs:
     def test_limit_zero_matches_bs(self):
         inst = ProblemInstance(3, (F(1, 2), F(3, 4)))
         tau_bs, _ = brute_force_bs(inst)
-        tau_rbs, _, _ = brute_force_rbs(inst, abandon_limit=0)
+        tau_rbs, _, _ = brute_force_rbs(inst)
         assert tau_bs == tau_rbs
 
     def test_limit_two_explores_more(self):
         # Two slow bikes and one fast one: retiring both laggards beats
         # retiring one.
-        inst = ProblemInstance(3, (F(1, 4), F(9, 10), F(19, 20)))
-        one, _, _ = brute_force_rbs(inst, abandon_limit=1)
-        two, _, usage = brute_force_rbs(inst, abandon_limit=2)
+        us = (F(1, 4), F(9, 10), F(19, 20))
+        one, _, _ = brute_force_rbs(ProblemInstance(3, us, abandonment_limit=1))
+        two, _, usage = brute_force_rbs(ProblemInstance(3, us, abandonment_limit=2))
         assert two <= one
         assert sum(1 for y in usage if y < 1) <= 2
 
@@ -122,14 +122,14 @@ class TestPruning:
             return kept
 
         monkeypatch.setattr(oracle, "_is_leader", spy)
-        tau, witness, _ = brute_force_rbs(inst, EnumerationBudget(max_columns=columns), limit)
+        tau, witness, _ = brute_force_rbs(inst, EnumerationBudget(max_columns=columns))
         assert any(skipped)
         # Without pruning every enumerated matrix gets its LP.
         solves = []
         solve = oracle.solve_partition
         monkeypatch.setattr(oracle, "solve_partition", lambda *a: solves.append(1) or solve(*a))
         slow = EnumerationBudget(max_columns=columns, prune=False)
-        assert brute_force_rbs(inst, slow, limit)[0] == tau
+        assert brute_force_rbs(inst, slow)[0] == tau
         assert len(solves) == sum(
             1
             for family in oracle._families(inst, limit, columns or m)

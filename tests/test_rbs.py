@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from bikesched import (
     ProblemInstance,
     Schedule,
+    ScheduleMatrix,
     TIGHT_AVERAGE,
     TIGHT_ONE_ABANDONED,
     TIGHT_SECOND_SLOWEST,
@@ -14,8 +16,8 @@ from bikesched import (
     check_feasible,
     completion_profile,
     one_abandonment_bound,
+    relay_schedule,
     shared_prefix,
-    solo_split_relaxed,
     solve_bs,
     solve_rbs,
 )
@@ -81,14 +83,103 @@ class TestAbandonSlowest:
 
 class TestSoloSplitRelaxed:
     def test_example(self):
+        # Bike 2 rides solo; the other two agents abandon bike 3 at 16/31.
         inst = relaxed(3, (F(1, 5), F(9, 10), F(19, 20)))
-        assert solo_split_relaxed(inst) == 1
+        sol = solve_rbs(inst)
         rest = ProblemInstance(2, (F(1, 5), F(19, 20)))
         assert one_abandonment_bound(rest) == (F(91, 155), F(16, 31))
+        assert sol.schedule.matrix.rows[-1] == (2,) * sol.schedule.size
+        assert sol.certificate.tight == TIGHT_SECOND_SLOWEST
 
     def test_two_bikes_never_qualify(self):
-        with pytest.raises(ValueError):
-            solo_split_relaxed(relaxed(3, (F(1, 2), F(4, 5))))
+        # With two bikes the second-slowest is the fastest, which never
+        # lags the one-abandonment bound: no solo rider.
+        sol = solve_rbs(relaxed(3, (F(1, 2), F(4, 5))))
+        assert sol.certificate.tight == TIGHT_ONE_ABANDONED
+
+
+class TestSoloPeel:
+    def test_matches_split_search(self):
+        """Both solvers peel one solo rider per level; the answers equal the
+        old construction, which searched for the solo count k first (the
+        loops below) and stacked k solo rows under one solve of the rest."""
+        rng = random.Random(15)
+        bs_ks, rbs_ks = [], []
+        while len(bs_ks) < 300 or len(rbs_ks) < 300:
+            m, us = _lagging_speeds(rng)
+            b = len(us)
+            k = solo_split_reference(m, us)
+            if k:
+                sched, _ = solve_bs(ProblemInstance(m, us))
+                rest = relay_schedule(ProblemInstance(m - k, us[: b - k]))
+                solo = tuple([(b - k + i + 1,) * rest.size for i in range(k)])
+                assert sched == Schedule(rest.partition, ScheduleMatrix(rest.matrix.rows + solo))
+                bs_ks.append(k)
+            k = solo_split_relaxed_reference(m, us)
+            if k:
+                sol = solve_rbs(relaxed(m, us))
+                inner = solve_rbs(relaxed(m - k, us[: b - k - 1] + (us[-1],)))
+                assert inner.certificate.tight != TIGHT_SECOND_SLOWEST
+                top = tuple([
+                    tuple([b if c == b - k else c for c in row])
+                    for row in inner.schedule.matrix.rows
+                ])
+                solo = tuple([(b - k + i,) * inner.schedule.size for i in range(k)])
+                assert sol.schedule.partition == inner.schedule.partition
+                assert sol.schedule.matrix.rows == top + solo
+                assert sol.certificate.tight == TIGHT_SECOND_SLOWEST
+                rbs_ks.append(k)
+        assert max(bs_ks) >= 4 and max(rbs_ks) >= 3
+        assert bs_ks.count(2) >= 20 and rbs_ks.count(2) >= 20
+
+
+def _lagging_speeds(rng):
+    """m <= 9 agents and 2 <= b <= m bikes p/q (q <= 24), the slowest j of
+    them near walking speed; a quarter of the draws put u_{b-j} exactly at
+    the average bound of the rest, a tie for the split search."""
+    m = rng.randint(3, 9)
+    b = rng.randint(2, m)
+    j = rng.randint(1, b - 1)
+    us = []
+    for _ in range(b - j):
+        q = rng.randint(2, 24)
+        us.append(F(rng.randint(1, q - 1), q))
+    us.sort()
+    if rng.random() < 0.25 and m - j > 1:
+        tie = 1 - sum(1 - u for u in us[:-1]) / (m - j - 1)
+        if (not us[:-1] or tie >= us[-2]) and 0 < tie < 1:
+            us[-1] = tie
+    for _ in range(j):
+        q = rng.randint(10, 24)
+        us.append(F(q - rng.randint(1, 3), q))
+    return m, tuple(sorted(us))
+
+
+def solo_split_reference(m, us):
+    """The smallest k with u_{b-k} <= the average bound of m-k agents with
+    the b-k fastest bikes, or 0 when the slowest bike keeps up."""
+    b = len(us)
+    if us[-1] <= average_bound(ProblemInstance(m, us)):
+        return 0
+    for k in range(1, b):
+        if us[b - k - 1] <= average_bound(ProblemInstance(m - k, us[: b - k])):
+            return k
+    raise AssertionError("no solo split")
+
+
+def solo_split_relaxed_reference(m, us):
+    """The smallest k with u_{b-k-1} <= t_one(rest) <= u_{b-1} for rest = m-k
+    agents with u_1..u_{b-k-1} and u_b, or 0 unless the slowest two bikes
+    both lag."""
+    b = len(us)
+    inst = ProblemInstance(m, us)
+    if us[-1] <= average_bound(inst) or us[-2] <= one_abandonment_bound(inst)[0]:
+        return 0
+    for k in range(1, b - 1):
+        bound, _ = one_abandonment_bound(ProblemInstance(m - k, us[: b - k - 1] + (us[-1],)))
+        if us[b - k - 2] <= bound <= us[b - 2]:
+            return k
+    raise AssertionError("no relaxed solo split")
 
 
 class TestSolveRbs:
