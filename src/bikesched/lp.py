@@ -3,7 +3,7 @@
 For a fixed matrix M the best partition solves a small LP: minimize the
 makespan tau subject to tau >= t_i for every agent, a pickup-ordering row for
 every bike handover, x_j >= 0 and sum x_j = 1.  The solver below is a
-one-phase tableau simplex over exact rationals with Bland's rule (lowest-index
+one-phase simplex over exact rationals with Bland's rule (lowest-index
 entering column, lowest-index leaving basic variable on ratio ties), which
 cannot cycle (Bland 1977), so it always terminates at an optimal *vertex* of
 the feasible region -- the schedule reduction argument counts tight
@@ -15,26 +15,27 @@ row has a last-column term, so that point meets each pickup row with
 equality, and two pivots reach its basis.  Every LP is solved in one shot
 with all of its pickup rows.
 
-One fraction-free kernel does all elimination, on Python ints (Edmonds 1967;
-Bareiss 1968).  ``PartitionLP`` holds the inverse speeds s as ints over
-one scale, the lcm of the instance's denominators (``ProblemInstance``
-keeps that table).  An agent row is then scale * tau - S_i(n) and a
-pickup row S_p(col) - S_d(col), in the prefix sums S_i(c) = sum_{k<c} s_ik
-x_k, so ``row_values`` evaluates all R rows in O(m n + R), for the slide and
-the feasibility check; the dense ``int_rows`` serve the simplex and the
-tight rows an echelon absorbs.  Every row of
-a tableau or echelon is an integer equation, known up to a positive factor,
-whose basic or pivot coefficient is positive.  ``_eliminate`` clears a column
-from a row by cross-multiplying with the pivot row and divides the result by
-the gcd of its entries; ``_pivot`` applies it to every other row of the
-simplex tableau (whose last row is the objective: reduced costs, then minus
-the objective value) and of the echelon of tight constraints behind
-``vertex_from_point`` and ``tight_constraint_rank``.  Every decision depends
-only on signs and on ratios compared by cross-multiplication, which positive
-row factors leave alone, so the pivots and answers are those of exact
-rational elimination.  ``Fraction`` appears only at the boundary: start
-points come in as ``Fraction``, answers go out as ``Fraction`` in lowest
-terms.
+``PartitionLP`` holds the inverse speeds s as ints over one scale, the lcm
+of the instance's denominators (``ProblemInstance`` keeps that table).  An
+agent row is then scale * tau - S_i(n) and a pickup row S_p(col) - S_d(col),
+in the prefix sums S_i(c) = sum_{k<c} s_ik x_k, so ``row_values`` evaluates
+all R rows in O(m n + R), for the slide and the feasibility check; the dense
+``int_rows`` serve the simplex and the tight rows an echelon absorbs.
+
+One fraction-free kernel, ``_pivot``, does all elimination on Python ints
+(Edmonds 1967; Bareiss 1968), in dictionary form (Chvatal 1983, ch. 2-3):
+a row keeps its positive pivot entry (its head) and its entries in the free
+(non-pivot) columns, a list all rows share, with the simplex's right-hand
+side last.  A pivot drops the entering column's slot (the simplex's start on
+its sum row; each row the echelon of tight constraints absorbs) or hands it
+to the leaving basic column (a simplex pivot), and takes every other row to
+head * row - f * pivot row, divided by the gcd of its slots and head; no
+work goes to the zeros in pivot columns, the simplex's basic slacks among
+them.  Every decision depends only on signs and on ratios compared by
+cross-multiplication, which positive row factors leave alone, so the pivots
+and answers are those of exact rational elimination.  ``Fraction`` appears
+only at the boundary: start points come in as ``Fraction``, answers go out
+as ``Fraction`` in lowest terms.
 
 A broken solver contract raises ``LPContractError`` (a ``ContractError``),
 never ``assert``, so the checks also run under ``python -O``.
@@ -142,37 +143,32 @@ def solve_partition(
 def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     """Minimize tau by Bland's rule from the final-column vertex.
 
-    Tableau columns: x, tau, one slack per agent row and per pickup row, then
-    the right-hand side.  A row a . (x, tau) >= 0 of ``int_rows`` is written
-    -a . (x, tau) + slack = 0.  The last constraint row is sum x = 1, and the
-    objective row (min tau) comes after it.
+    Columns: x, tau, one slack per agent and pickup row, and the right-hand
+    side.  A row a of ``int_rows`` is -a . (x, tau) + slack = 0, its slack
+    basic; the sum row sum x = 1 has no basic column yet, and the objective
+    row (reduced costs, then minus the value of min tau) comes last.
     """
-    n, m = lp.n, lp.agents
-    n_ineq = len(lp.int_rows)
-    width = n + 1 + n_ineq + 1
-    rows: list[list[int]] = []
-    for r, a in enumerate(lp.int_rows):
-        row = [-c for c in a] + [0] * (n_ineq + 1)
-        row[n + 1 + r] = 1
-        rows.append(row)
-    rows.append([1] * n + [0] * (n_ineq + 1) + [1])
-    rows.append(_unit_row(n, width))
-    basis = list(range(n + 1, n + 1 + n_ineq)) + [n - 1]
+    n, m, n_ineq = lp.n, lp.agents, len(lp.int_rows)
+    rows = [[-c for c in a] + [0] for a in lp.int_rows]
+    rows += [[1] * n + [0, 1], [0] * n + [1, 0]]
+    heads = [1] * n_ineq + [0, 0]
+    basis = list(range(n + 1, n + 1 + n_ineq)) + [-1, -1]
+    free = list(range(n + 1)) + [n + 1 + n_ineq]
 
     # x_last enters the sum row; no pickup row has a last-column term, so only
-    # the agent rows change.  tau then enters the row of the agent slowest in
-    # the last column, which leaves every other agent row's slack >= 0.
-    _pivot(rows, basis, n_ineq, n - 1)
+    # the agent rows change.  tau (now slot n - 1) then enters the row of the
+    # agent slowest in the last column: every other agent's slack stays >= 0.
+    _pivot(rows, heads, basis, free, n_ineq, n - 1, drop=True)
     slowest = max(range(m), key=lambda i: lp.speeds[i][n - 1])
-    _pivot(rows, basis, slowest, n)
+    _pivot(rows, heads, basis, free, slowest, n - 1)
     if any(rows[r][-1] < 0 for r in range(n_ineq + 1)):
         raise LPContractError("the final-column start is not feasible")
 
     while True:
-        z = rows[-1]
-        enter = next((j for j in range(width - 1) if z[j] < 0), -1)
-        if enter < 0:
+        negative = [k for k, c in zip(range(len(free) - 1), rows[-1]) if c < 0]
+        if not negative:
             break
+        enter = min(negative, key=free.__getitem__)
         # Bland's ratio test: the least rhs / a over rows with a > 0, by
         # cross-multiplication; ties go to the lowest basic variable.
         leave = -1
@@ -186,44 +182,45 @@ def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
                 leave = r
         if leave < 0:
             raise LPContractError("the partition LP is unbounded")
-        _pivot(rows, basis, leave, enter)
+        _pivot(rows, heads, basis, free, leave, enter)
 
     solution = [ZERO] * (n + 1)
     for r, b in enumerate(basis):
-        if b <= n:
-            solution[b] = Fraction(rows[r][-1], rows[r][b])
+        if 0 <= b <= n:
+            solution[b] = Fraction(rows[r][-1], heads[r])
     return tuple(solution[:n]), solution[n]
 
 
-def _eliminate(row, piv, col, nonzero) -> list[int]:
-    """``row`` with column ``col`` cleared by ``piv``, whose entry there is
-    positive: p * row - f * piv, divided by the gcd of its entries.  The
-    factor p > 0 keeps the sign of every basic or pivot coefficient.  Pivot
-    rows are mostly zeros, so only their ``nonzero`` (column, entry) pairs
-    are subtracted."""
-    p, f = piv[col], row[col]
-    out = [p * a for a in row] if p != 1 else list(row)
-    for j, b in nonzero:
-        out[j] -= f * b
-    g = gcd(*out)
-    return [a // g for a in out] if g > 1 else out
-
-
-def _nonzero(row) -> list[tuple[int, int]]:
-    return [(j, b) for j, b in enumerate(row) if b]
-
-
-def _pivot(rows, basis, leave, enter) -> None:
-    """Make column ``enter`` basic in ``rows[leave]``: negate that row if its
-    entry there is negative, then clear the column from every other row."""
-    piv = rows[leave]
-    if piv[enter] < 0:
-        rows[leave] = piv = [-a for a in piv]
-    nonzero = _nonzero(piv)
-    for r, row in enumerate(rows):
-        if row[enter] and r != leave:
-            rows[r] = _eliminate(row, piv, enter, nonzero)
-    basis[leave] = enter
+def _pivot(rows, heads, basis, free, r, k, drop=False) -> None:
+    """Make column ``free[k]`` basic in ``rows[r]``, negated first if its
+    entry there is negative.  Row s is heads[s] * x_basis[s] plus rows[s]
+    over x_free (the simplex's last slot is its right-hand side); a head of
+    0 means no basic column.  The leaving column basis[r] takes slot k, or
+    with ``drop`` the slot leaves every row."""
+    piv = rows[r]
+    a, p = piv[k], heads[r]
+    if a < 0:
+        a, p = -a, -p
+        rows[r] = piv = [-b for b in piv]
+    piv[k] = p
+    nonzero = [(j, b) for j, b in enumerate(piv) if b]
+    for s, row in enumerate(rows):
+        f = row[k]
+        if f and s != r:
+            row[k] = 0
+            out = [a * c for c in row] if a != 1 else row
+            for j, b in nonzero:
+                out[j] -= f * b
+            h = a * heads[s]
+            g = gcd(h, *out)
+            if g > 1:
+                out, h = [c // g for c in out], h // g
+            rows[s], heads[s] = out, h
+    heads[r], basis[r], free[k] = a, free[k], basis[r]
+    if drop:
+        del free[k]
+        for row in rows:
+            del row[k]
 
 
 def vertex_from_point(
@@ -249,17 +246,17 @@ def vertex_from_point(
     width = n + 1
     rows = lp.int_rows
     v, den = _integral((*x, tau))
-    echelon, pivots, values = _tight_echelon(lp, v)
+    echelon, values = _tight_echelon(lp, v)
+    tight, heads, pivots, free = echelon
 
-    while len(echelon) < width:
-        # The kernel direction with d[free] > 0 and 0 in every other free
+    while len(tight) < width:
+        # The kernel direction with d[free[0]] > 0 and 0 in every other free
         # column, scaled to integers.
-        free = next(c for c in range(width) if c not in pivots)
-        scale = lcm(*[row[col] for row, col in zip(echelon, pivots) if row[free]])
+        scale = lcm(*[h for row, h in zip(tight, heads) if row[0]])
         d = [0] * width
-        d[free] = scale
-        for row, col in zip(echelon, pivots):
-            d[col] = -row[free] * (scale // row[col])
+        d[free[0]] = scale
+        for row, h, col in zip(tight, heads, pivots):
+            d[col] = -row[0] * (scale // h)
         if d[n] > 0:
             d = [-a for a in d]
         slopes = lp.row_values(d)
@@ -283,50 +280,53 @@ def vertex_from_point(
         for k in blockers:
             if level[k] * q == num * -rate[k]:
                 hit = rows[k] if k < len(rows) else _unit_row(k - len(rows), width)
-                _absorb(echelon, pivots, hit)
+                _absorb(echelon, hit)
 
     return tuple([Fraction(a, den) for a in v[:n]]), Fraction(v[n], den)
 
 
-def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[list, list, list]:
-    """The echelon of every constraint tight at the integer point ``v`` (any
-    positive multiple of (x, tau)) as its rows and their pivot columns, and
-    the value of each row of ``lp.int_rows`` there.  The simplex equality
-    sum x = 1 is a permanently tight row; x_j >= 0 is tight through a unit
-    row when x_j = 0."""
+def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[tuple, list[int]]:
+    """The echelon of the constraints tight at the integer point ``v`` (any
+    positive multiple of (x, tau)), and each ``lp.int_rows`` value there.
+    sum x = 1 is always tight; x_j >= 0 is tight, as a unit row, when
+    x_j = 0."""
     n = lp.n
-    echelon: list[list[int]] = []
-    pivots: list[int] = []
-    _absorb(echelon, pivots, [1] * n + [0])  # sum x = 1
+    echelon = ([], [], [], list(range(n + 1)))
+    _absorb(echelon, [1] * n + [0])  # sum x = 1
     values = lp.row_values(v)
     for row, val in zip(lp.int_rows, values):
         if val == 0:
-            _absorb(echelon, pivots, row)
+            _absorb(echelon, row)
     for j in range(n):
         if v[j] == 0:
-            _absorb(echelon, pivots, _unit_row(j, n + 1))
-    return echelon, pivots, values
+            _absorb(echelon, _unit_row(j, n + 1))
+    return echelon, values
 
 
-def _absorb(echelon: list, pivots: list[int], row) -> None:
-    """Add a row to a fully reduced echelon, whose row r has a positive entry
-    in column ``pivots[r]`` and zeros in every other pivot column.  A row
-    dependent on the echelon leaves it unchanged."""
-    for piv, col in zip(echelon, pivots):
-        if row[col]:
-            row = _eliminate(row, piv, col, _nonzero(piv))
-    lead = next((c for c, a in enumerate(row) if a), None)
-    if lead is None:
+def _absorb(echelon: tuple, row) -> None:
+    """Add a dense row over (x, tau) to a fully reduced echelon, the
+    dictionary (rows, heads, pivot columns, free columns) of ``_pivot``: its
+    pivot columns are eliminated at once over the lcm of their heads, and
+    unless it is then zero it pivots on its first nonzero free column."""
+    tight, heads, pivots, free = echelon
+    hits = [(piv, h, row[col]) for piv, h, col in zip(tight, heads, pivots) if row[col]]
+    scale = lcm(*[h for _piv, h, _f in hits])
+    out = [scale * row[c] for c in free]
+    for piv, h, f in hits:
+        f *= scale // h
+        out = [a - f * b for a, b in zip(out, piv)]
+    lead = next((k for k, a in enumerate(out) if a), -1)
+    if lead < 0:
         return
-    echelon.append(row)
-    pivots.append(lead)
-    _pivot(echelon, pivots, len(echelon) - 1, lead)
+    g = gcd(*out)
+    tight.append([a // g for a in out] if g > 1 else out)
+    heads.append(0)
+    pivots.append(-1)
+    _pivot(*echelon, len(tight) - 1, lead, drop=True)
 
 
 def _unit_row(j: int, width: int) -> list[int]:
-    row = [0] * width
-    row[j] = 1
-    return row
+    return [0] * j + [1] + [0] * (width - j - 1)
 
 
 def tight_constraint_rank(
@@ -338,8 +338,8 @@ def tight_constraint_rank(
     equals the variable count n + 1.
     """
     v, _den = _integral((*x, tau))
-    echelon, _pivots, _values = _tight_echelon(lp, v)
-    return len(echelon)
+    echelon, _values = _tight_echelon(lp, v)
+    return len(echelon[0])
 
 
 def is_vertex(lp: PartitionLP, x: tuple[Fraction, ...], tau: Fraction) -> bool:

@@ -57,8 +57,8 @@ class ProblemInstance:
     abandonment_limit: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.agents, int) or self.agents < 1:
-            raise ValueError(f"need at least one agent, got {self.agents!r}")
+        if type(self.agents) is not int or self.agents < 1:
+            raise ValueError(f"agents must be an integer >= 1, got {self.agents!r}")
         u = _as_fractions(self.inverse_speeds)
         object.__setattr__(self, "inverse_speeds", tuple(sorted(u)))
         if len(u) > self.agents:
@@ -72,8 +72,10 @@ class ProblemInstance:
                     f"inverse speed {uk} out of range; bikes must be strictly "
                     "faster than walking (0 < u < 1)"
                 )
-        if self.abandonment_limit < 0:
-            raise ValueError("abandonment limit must be >= 0")
+        if type(self.abandonment_limit) is not int or self.abandonment_limit < 0:
+            raise ValueError(
+                f"abandonment limit must be an integer >= 0, got {self.abandonment_limit!r}"
+            )
 
     @property
     def bikes(self) -> int:
@@ -132,8 +134,8 @@ class ScheduleMatrix:
             if len(r) != width:
                 raise ValueError("ragged schedule matrix")
             for label in r:
-                if not isinstance(label, int) or label < 0:
-                    raise ValueError(f"bad bike label {label!r}")
+                if type(label) is not int or label < 0:
+                    raise ValueError(f"bad bike label {label!r} in the matrix")
 
     @property
     def agents(self) -> int:

@@ -32,7 +32,7 @@ def parse_problem(data: Any) -> tuple[ProblemInstance, str]:
         speeds = data["speeds"]
     except KeyError as exc:
         raise ValueError(f"problem file missing field {exc}") from exc
-    if not isinstance(agents, int):
+    if type(agents) is not int:
         raise ValueError(f"field 'agents' must be an integer, got {agents!r}")
     if not isinstance(speeds, list):
         raise ValueError("field 'speeds' must be a list")
@@ -48,8 +48,10 @@ def parse_problem(data: Any) -> tuple[ProblemInstance, str]:
     limit = data.get("abandonment_limit")
     if limit is None:
         limit = 1 if mode == "rbs" else 0
-    if not isinstance(limit, int) or limit < 0:
-        raise ValueError("field 'abandonment_limit' must be a non-negative integer")
+    if type(limit) is not int or limit < 0:
+        raise ValueError(
+            f"field 'abandonment_limit' must be a non-negative integer, got {limit!r}"
+        )
     inst = ProblemInstance(agents, tuple(inverse), abandonment_limit=limit)
     return inst, mode
 

@@ -98,6 +98,16 @@ class TestSolveCommand:
         write_json(p, {"agents": 2, "speeds": ["1"]})
         assert main(["solve", "--in", str(p), "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("agents", True), ("abandonment_limit", False), ("abandonment_limit", True)],
+    )
+    def test_bool_for_an_integer_exit_2(self, tmp_path, capsys, field, value):
+        p = tmp_path / "bool.json"
+        write_json(p, {"agents": 2, "speeds": ["2"], "mode": "rbs"} | {field: value})
+        assert main(["solve", "--in", str(p), "--out", str(tmp_path / "x.json")]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
     def test_infinite_speed_exit_2(self, tmp_path):
         p = tmp_path / "inf.json"
         write_json(p, {"agents": 2, "speeds": ["Infinity"], "mode": "bs"})
@@ -219,6 +229,16 @@ class TestVerifyCommand:
         sched = tmp_path / "s.json"
         write_json(sched, {"partition": ["inf"], "matrix": [[1], [0]], "waits": None})
         assert main(["verify", "--schedule", str(sched), "--problem", str(problem_bs)]) == 2
+
+    def test_bool_label_exit_2(self, tmp_path, capsys):
+        # A JSON true is not bike label 1.
+        problem = tmp_path / "p.json"
+        write_json(problem, {"agents": 2, "speeds": ["2"], "mode": "bs"})
+        sched = tmp_path / "s.json"
+        write_json(sched, {"partition": ["1/2", "1/2"], "matrix": [[True, 0], [0, 1]]})
+        assert main(["verify", "--schedule", str(sched), "--problem", str(problem)]) == 2
+        captured = capsys.readouterr()
+        assert "matrix" in captured.err and "feasible" not in captured.out
 
     def test_parse_failure_exit_2(self, problem_bs, tmp_path):
         bad = tmp_path / "nonsense.json"

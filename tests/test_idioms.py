@@ -1,4 +1,7 @@
-"""Source idioms that the solve path relies on for its memory profile.
+"""Source idioms that the package relies on.
+
+No ``assert`` statement guards a contract: ``python -O`` strips them, so
+every check raises a named error instead.
 
 In CPython, ``tuple(<generator>)`` cannot know its length: it allocates a
 tuple of spare slots and shrinks it at the end.  Every tuple freed later goes
@@ -39,3 +42,17 @@ def test_no_tuple_of_generator(module):
 def test_detector_finds_a_tuple_of_generator():
     tree = ast.parse("a = tuple(x for x in y)\nb = tuple([x for x in y])\n")
     assert _tuple_of_generator(tree) == [1]
+
+
+def _asserts(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statement(path):
+    lines = _asserts(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"assert statement in {path.name} at lines {lines}"
+
+
+def test_detector_finds_an_assert():
+    assert _asserts(ast.parse("x = 1\nassert x, 'message'\n")) == [2]

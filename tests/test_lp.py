@@ -452,3 +452,150 @@ class TestIntegerKernel:
         assert completion_profile(result.schedule, inst).makespan == bound
         assert check_feasible(result.schedule, inst).ok
         assert _in_lowest_terms(result.schedule.partition)
+
+
+def _echelon_rows(echelon):
+    """The rows of an ``_absorb`` echelon as dense int rows, keyed by their
+    pivot column."""
+    rows, heads, pivots, free = echelon
+    dense = {}
+    for row, head, col in zip(rows, heads, pivots):
+        out = [0] * (len(rows) + len(free))
+        out[col] = head
+        for c, a in zip(free, row):
+            out[c] = a
+        dense[col] = out
+    return dense
+
+
+def _fraction_rref(rows) -> dict[int, list]:
+    """The reduced row echelon form of int rows in Fractions, each row
+    scaled to 1 at its pivot, keyed by pivot column; independent of lp.py."""
+    basis: dict[int, list] = {}
+    for row in rows:
+        row = [F(a) for a in row]
+        for col, piv in basis.items():
+            if row[col]:
+                row = [a - row[col] * b for a, b in zip(row, piv)]
+        lead = next((c for c, a in enumerate(row) if a), None)
+        if lead is None:
+            continue
+        row = [a / row[lead] for a in row]
+        for col, piv in basis.items():
+            if piv[lead]:
+                basis[col] = [a - piv[lead] * b for a, b in zip(piv, row)]
+        basis[lead] = row
+    return basis
+
+
+class TestEchelonKernel:
+    """Random integer rows streamed through ``lp._absorb``, against a Fraction
+    reduced row echelon form: same rank, same pivot columns, and every row a
+    positive multiple of the reference row."""
+
+    @staticmethod
+    def _stream(rng, width):
+        bits = rng.choice((4, 12, 60))
+        rows = []
+        for _ in range(rng.randint(1, width + 3)):
+            kind = rng.random()
+            if kind < 0.15 and rows:
+                rows.append(list(rng.choice(rows)))  # a duplicate
+            elif kind < 0.25:
+                rows.append([0] * width)
+            elif kind < 0.45:
+                j = rng.randrange(width)
+                rows.append([int(c == j) for c in range(width)])
+            elif kind < 0.6 and len(rows) >= 2:
+                # A combination of earlier rows, so dependent on the echelon.
+                a, b = rng.sample(rows, 2)
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                rows.append([s * x + t * y for x, y in zip(a, b)])
+            else:
+                row = [rng.randint(-(2**bits), 2**bits) for _ in range(width)]
+                for _ in range(rng.randint(0, width - 1)):
+                    row[rng.randrange(width)] = 0
+                rows.append(row)
+        return rows
+
+    def test_random_streams_match_fraction_rref(self, rng):
+        from bikesched.lp import _absorb
+
+        deficient = 0
+        for _ in range(300):
+            width = rng.randint(1, 9)
+            rows = self._stream(rng, width)
+            echelon = ([], [], [], list(range(width)))
+            for row in rows:
+                _absorb(echelon, row)
+            got, want = _echelon_rows(echelon), _fraction_rref(rows)
+            rank = _elimination_rank([[F(a) for a in row] for row in rows])
+            assert len(echelon[0]) == len(want) == rank
+            assert sorted(got) == sorted(want)
+            assert sorted(echelon[3]) == echelon[3]  # free columns, ascending
+            for col, row in got.items():
+                assert row[col] > 0
+                assert [F(a, row[col]) for a in row] == want[col]
+            deficient += len(want) < min(len(rows), width)
+        assert deficient > 50
+
+
+def _bland_tableau(lp):
+    """A dense Fraction tableau simplex with solve_lp's start and rule,
+    independent of lp.py: columns x, tau, one slack per constraint row, then
+    the right-hand side; the sum row and the objective row come last.  x_last
+    enters the sum row, tau the row of the agent slowest in the last column,
+    then the lowest-index column with a negative reduced cost enters and the
+    least ratio leaves, ties to the lowest basic column.  Returns the optimum
+    and the number of pivots after the start."""
+    n, rows = lp.n, _fraction_rows(lp)
+    k = len(rows)
+    table = [
+        [-a for a in row] + [F(int(i == r)) for i in range(k)] + [F(0)]
+        for r, row in enumerate(rows)
+    ]
+    table.append([F(1)] * n + [F(0)] * (k + 1) + [F(1)])
+    table.append([F(0)] * n + [F(1)] + [F(0)] * (k + 1))
+    basis = list(range(n + 1, n + 1 + k)) + [None]
+
+    def pivot(r, c):
+        table[r] = [a / table[r][c] for a in table[r]]
+        for i, row in enumerate(table):
+            if i != r and row[c]:
+                table[i] = [a - row[c] * b for a, b in zip(row, table[r])]
+        basis[r] = c
+
+    pivot(k, n - 1)
+    speeds = _speed_rows(lp)
+    pivot(max(range(lp.agents), key=lambda i: speeds[i][n - 1]), n)
+    steps = 0
+    while True:
+        enter = next((c for c, z in enumerate(table[-1][:-1]) if z < 0), None)
+        if enter is None:
+            break
+        rising = [r for r in range(k + 1) if table[r][enter] > 0]
+        pivot(min(rising, key=lambda r: (table[r][-1] / table[r][enter], basis[r])), enter)
+        steps += 1
+    point = [F(0)] * (n + 1)
+    for r, c in enumerate(basis):
+        if c <= n:
+            point[c] = table[r][-1]
+    return (tuple(point[:n]), point[n]), steps
+
+
+class TestBlandPath:
+    def test_solve_lp_returns_the_reference_vertex(self, rng):
+        # Not only the same tau: the same vertex, so the same pivot path.
+        steps = []
+        for k in range(220):
+            inst = random_instance(rng, max_agents=6)
+            if k % 2 == 0 and inst.bikes and inst.slowest <= average_bound(inst):
+                matrix = relay_reference(inst).matrix
+            else:
+                matrix = random_full_matrix(rng, inst, rng.randint(1, 5))
+            lp = build_lp(matrix, inst)
+            answer, pivots = _bland_tableau(lp)
+            assert solve_lp(lp) == answer
+            steps.append(pivots)
+        # About half the LPs pivot after the start, some many times.
+        assert sum(1 for s in steps if s) > 80 and sum(steps) > 250

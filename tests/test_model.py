@@ -76,6 +76,23 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Schedule((F(3, 2), F(-1, 2)), ScheduleMatrix(((0, 0),)))
 
+    # bool is an int subclass, so a JSON true or false would pass a plain
+    # isinstance check as 1 or 0.
+    @pytest.mark.parametrize("label", [True, False, 1.0])
+    def test_non_int_label_rejected(self, label):
+        with pytest.raises(ValueError, match="label .* in the matrix"):
+            ScheduleMatrix(((label, 0), (0, 1)))
+
+    @pytest.mark.parametrize("agents", [True, 2.0, "2"])
+    def test_non_int_agents_rejected(self, agents):
+        with pytest.raises(ValueError, match="agents"):
+            ProblemInstance(agents, ())
+
+    @pytest.mark.parametrize("limit", [False, True, 1.0, -1])
+    def test_non_int_abandonment_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="abandonment limit"):
+            ProblemInstance(2, (F(1, 2),), abandonment_limit=limit)
+
 
 class TestCompletionProfile:
     def test_two_agents_one_bike(self):
