@@ -30,22 +30,10 @@ from .model import (
     completion_profile,
     one_abandonment_bound,
 )
-from .lp import PartitionLP, build_lp, is_vertex, solve_partition, tight_constraint_rank
+from .lp import PartitionLP, build_lp, solve_partition
 from .normalize import StandardFormReport, is_standard_form, reduce_schedule, standardize
-from .bs import (
-    NestedColumn,
-    expand_with_partition,
-    relay_reference,
-    relay_schedule,
-    solve_bs,
-)
-from .rbs import (
-    RbsSolution,
-    UnsupportedAbandonmentError,
-    abandon_slowest,
-    shared_prefix,
-    solve_rbs,
-)
+from .bs import relay_reference, relay_schedule, solve_bs
+from .rbs import RbsSolution, UnsupportedAbandonmentError, abandon_slowest, solve_rbs
 from .waiting import remove_all_waits
 from .oracle import (
     BudgetExceededError,
@@ -64,7 +52,6 @@ __all__ = [
     "ContractError",
     "EnumerationBudget",
     "FeasibilityReport",
-    "NestedColumn",
     "PartitionLP",
     "ProblemInstance",
     "RbsSolution",
@@ -85,20 +72,16 @@ __all__ = [
     "build_lp",
     "check_feasible",
     "completion_profile",
-    "expand_with_partition",
     "format_fraction",
     "is_standard_form",
-    "is_vertex",
     "one_abandonment_bound",
     "reduce_schedule",
     "relay_reference",
     "relay_schedule",
     "remove_all_waits",
-    "shared_prefix",
     "solve_bs",
     "solve_partition",
     "solve_rbs",
     "standardize",
-    "tight_constraint_rank",
     "to_fraction",
 ]

@@ -14,9 +14,11 @@ group schedule in place (its size grows exponentially with the bike count;
 it exists for differential testing), while ``relay_schedule`` reuses one
 reduced schedule per distinct subproblem and reduces after every step, giving
 size at most m in polynomial time.  Both lay out nested columns (group
-blocks stacked on solo riders) and hand them to one splicer, ``splice``,
-which reads each column's paces and meeting point off the columns
-themselves; the one-abandonment schedule of ``rbs`` uses it too.
+blocks stacked on solo riders) and hand them to one splicer, ``splice``.  In
+one pass over the columns it keeps how far each row's arrival trails the row
+above it, reads each column's paces off the instance's integer speed table,
+sizes the column so that its catcher closes that gap, and expands the
+blocks; the one-abandonment schedule of ``rbs`` uses it too.
 
 When the slowest bike lags (u_b above the average bound), ``solve_bs`` gives
 it a solo rider and solves the other m-1 agents with bikes 1..b-1, one level
@@ -36,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     ONE,
@@ -66,92 +68,72 @@ class NestedColumn:
     block: Optional[Schedule] = None
 
 
-def solve_sync_partition(
-    paces: Sequence[Sequence[Fraction]], sync: Sequence[tuple[int, int]]
-) -> tuple[Fraction, ...]:
-    """Interval lengths making each catcher meet its group on time.
-
-    The catcher trails its group by a time gap accumulated over earlier
-    intervals; the gap closes at a rate equal to the pace difference inside
-    the interval, so the interval's length is gap / rate.  A zero rate with a
-    zero gap leaves the length free (taken as 0); a zero rate with a positive
-    gap means the catcher can never close it inside this interval, so all
-    earlier intervals are collapsed to zero, which resets every gap.
-    """
-    n = len(paces[0])
-    z: list[Fraction] = [ONE] + [ZERO] * (n - 1)
-    for c in range(1, n):
-        catcher, group = sync[c - 1]
-        gap = ZERO
-        for p in range(c):
-            gap += (paces[catcher][p] - paces[group][p]) * z[p]
-        rate = paces[group][c] - paces[catcher][c]
-        if rate == 0:
-            if gap == 0:
-                z[c] = ZERO
-            else:
-                for p in range(c):
-                    z[p] = ZERO
-                z[c] = ONE
-        else:
-            z[c] = gap / rate
-            if z[c] < 0:
-                raise ContractError(f"negative interval length {z[c]} at {c}")
-    return tuple(z)
-
-
-def expand_with_partition(
-    z: Sequence[Fraction], columns: Sequence[NestedColumn]
-) -> Schedule:
-    """Flatten nested columns: a block of n' columns replaces its host column
-    with n' columns, replicating the host's tail rows across all of them, and
-    its partition, scaled by the host interval length ``z``, is spliced into
-    the host position."""
-    if len(z) != len(columns):
-        raise ValueError("one interval length per nested column required")
-    xs: list[Fraction] = []
-    out_cols: list[tuple[int, ...]] = []
-    for length, col in zip(z, columns):
-        block = col.block
-        if block is None:
-            xs.append(length)
-            out_cols.append(col.tail)
-        else:
-            xs.extend(length * x for x in block.partition)
-            out_cols.extend(sub + col.tail for sub in block.matrix.columns())
-    if len({len(c) for c in out_cols}) > 1:
-        raise ValueError("inconsistent block + tail heights")
-    return Schedule(tuple(xs), ScheduleMatrix(tuple(zip(*out_cols))))
-
-
 def splice(inst: ProblemInstance, columns: Sequence[NestedColumn]) -> Schedule:
     """Size nested columns so that each absorbed rider meets its group exactly
     at the end of its host column, then expand them.
 
-    Labels in blocks and tails are bike labels of ``inst``.  A tail row moves
-    at its label's inverse speed.  Every block is a length-1 relay whose
-    agents all tie, so each block row moves at the block's common finish
-    time, read off its first row.  In every column after the first, the
-    catcher is the first tail row on a bike, and it meets the row above it.
-    The lengths from ``solve_sync_partition`` are scaled to sum to 1.
+    Labels in blocks and tails are bike labels of ``inst``; paces come from
+    its integer speed table, whose scale cancels in gap / rate.  A tail row
+    moves at its label's pace.  Every block is a length-1 relay whose agents
+    all tie, so each block row moves at the block's common finish time, read
+    off its first row.  One pass keeps how far each row's arrival so far
+    trails the row above it, ``lag``; rows at the pace of the row above keep
+    their lag.  The first column gets length 1.  In every later column the
+    catcher is the first tail row on a bike; its lag (the gap) closes at the
+    pace difference inside the column (the rate), so the column's length is
+    gap / rate.  A
+    zero rate with a zero gap leaves the length free (taken as 0); with a
+    positive gap the catcher can never close it here, so every earlier
+    column collapses to zero and this one gets length 1.  The lengths are
+    scaled to sum to 1, and a block of n' columns replaces its host with n'
+    columns carrying the host's tail rows, its partition scaled by the
+    host's length.
     """
-    paces: list[list[Fraction]] = []
-    sync: list[tuple[int, int]] = []
-    for c, col in enumerate(columns):
-        pace = [inst.speed_of(label) for label in col.tail]
-        if col.block is not None:
-            block = col.block
-            speeds = [inst.speed_of(label) for label in block.matrix.rows[0]]
-            finish = sum(map(mul, block.partition, speeds), ZERO)
-            pace = [finish] * block.agents + pace
-        if c:
+    speed, _ = inst._label_speeds
+    z: list[Fraction] = []
+    lag: list[Fraction] = []
+    for col in columns:
+        pace = [speed[label] for label in col.tail]
+        block = col.block
+        if block is not None:
+            row = [speed[label] for label in block.matrix.rows[0]]
+            pace = [sum(map(mul, block.partition, row), ZERO)] * block.agents + pace
+        if not z:
+            lag = [ZERO] * len(pace)
+            length = ONE
+        elif len(pace) != len(lag):
+            raise ValueError("inconsistent block + tail heights")
+        else:
             rider = next(i for i, label in enumerate(col.tail) if label)
             catcher = len(pace) - len(col.tail) + rider
-            sync.append((catcher, catcher - 1))
-        paces.append(pace)
-    z = solve_sync_partition(list(zip(*paces)), sync)
+            gap = lag[catcher]
+            rate = pace[catcher - 1] - pace[catcher]
+            if rate:
+                length = gap / rate
+                if length < 0:
+                    raise ContractError(f"negative interval length {length} at {len(z)}")
+            elif gap:
+                z = [ZERO] * len(z)
+                lag = [ZERO] * len(lag)
+                length = ONE
+            else:
+                length = ZERO
+        z.append(length)
+        if length:
+            for i in range(1, len(pace)):
+                if pace[i] != pace[i - 1]:
+                    lag[i] += length * (pace[i] - pace[i - 1])
     total = sum(z, ZERO)
-    return expand_with_partition([v / total for v in z], columns)
+    xs: list[Fraction] = []
+    out_cols: list[tuple[int, ...]] = []
+    for length, col in zip(z, columns):
+        if col.block is None:
+            xs.append(length / total)
+            out_cols.append(col.tail)
+        else:
+            xs.extend(length / total * x for x in col.block.partition)
+            out_cols.extend(sub + col.tail for sub in col.block.matrix.columns())
+    return Schedule(tuple(xs), ScheduleMatrix(tuple(zip(*out_cols))))
 
 
 def _check_relay_precondition(inst: ProblemInstance) -> None:
@@ -166,41 +148,24 @@ def _walk_schedule(agents: int) -> Schedule:
     return Schedule((ONE,), ScheduleMatrix(((0,),) * agents))
 
 
-def _relay_columns(
-    inst: ProblemInstance, blocks: Sequence[Optional[Schedule]]
-) -> list[NestedColumn]:
+def _build_relay(inst: ProblemInstance, blocks: Sequence[Optional[Schedule]]) -> Schedule:
+    """The relay of ``inst`` spliced from its walker columns and one group
+    column per bike: ``blocks[k]`` is a relay of ``inst.sub_instance(k)``,
+    None when that subproblem has no agents."""
     m, b = inst.agents, inst.bikes
     walkers = m - b
-    cols = []
-    for j in range(walkers):
-        cols.append(
-            NestedColumn(
-                tail=tuple([
-                    i - j + 1 if j <= i <= j + b - 1 else 0 for i in range(m)
-                ])
-            )
-        )
-    for k in range(b):
-        mk = walkers + k
-        block = blocks[k]
+    cols = [
+        NestedColumn(tail=tuple([i - j + 1 if j <= i < j + b else 0 for i in range(m)]))
+        for j in range(walkers)
+    ]
+    for mk, block in enumerate(blocks, start=walkers):
         if (block is None) != (mk == 0):
             raise ValueError("need one group schedule per non-empty block")
         if block is not None and (block.agents != mk or block.length != 1):
             raise ValueError("group schedule has the wrong shape")
         tail = tuple([i - walkers + 1 for i in range(mk, m)])
         cols.append(NestedColumn(tail=tail, block=block))
-    return cols
-
-
-def _build_relay(
-    inst: ProblemInstance, group_solver: Callable[[ProblemInstance], Schedule]
-) -> Schedule:
-    _check_relay_precondition(inst)
-    blocks = [
-        group_solver(inst.sub_instance(k)) if inst.sub_agents(k) > 0 else None
-        for k in range(inst.bikes)
-    ]
-    return splice(inst, _relay_columns(inst, blocks))
+    return splice(inst, cols)
 
 
 def relay_reference(inst: ProblemInstance) -> Schedule:
@@ -210,10 +175,10 @@ def relay_reference(inst: ProblemInstance) -> Schedule:
     For b >= 1 its size is 2^(b-1) * (m - b + 1): each of the b group blocks
     recursively contains all smaller blocks.  Intended for small bike counts
     and differential testing only; ``relay_schedule`` is the production path.
-    The partition comes from the synchronization recursion; as a cross-check,
-    the exact LP is solved once on the final matrix and must reproduce the
-    same makespan.
+    The partition comes from the splicer; as a cross-check, the exact LP is
+    solved once on the final matrix and must reproduce the same makespan.
     """
+    _check_relay_precondition(inst)
     sched = _relay_reference_impl(inst)
     if inst.bikes:
         from .lp import solve_partition  # local import: lp does not need bs
@@ -227,7 +192,11 @@ def relay_reference(inst: ProblemInstance) -> Schedule:
 def _relay_reference_impl(inst: ProblemInstance) -> Schedule:
     if inst.bikes == 0:
         return _walk_schedule(inst.agents)
-    return _build_relay(inst, _relay_reference_impl)
+    blocks = [
+        _relay_reference_impl(inst.sub_instance(k)) if inst.sub_agents(k) > 0 else None
+        for k in range(inst.bikes)
+    ]
+    return _build_relay(inst, blocks)
 
 
 def relay_schedule(inst: ProblemInstance) -> Schedule:
@@ -248,7 +217,7 @@ def relay_schedule(inst: ProblemInstance) -> Schedule:
         table[0] = _walk_schedule(m - b)
     for k in range(1, b + 1):
         sub = inst.sub_instance(k)
-        raw = _build_relay(sub, lambda s, _t=table: _t[s.bikes])
+        raw = _build_relay(sub, table[:k])
         if raw.size > m * b:
             raise ContractError("intermediate relay grew beyond the m*b bound")
         table[k] = reduce_schedule(raw.matrix, sub, initial=raw.partition)

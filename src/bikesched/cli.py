@@ -98,6 +98,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    if sched.length != 1:
+        print(
+            f"error: partition sums to {format_fraction(sched.length)}; "
+            "a schedule must cover [0, 1]",
+            file=sys.stderr,
+        )
+        return EXIT_PARSE
     try:
         partial, den = _arrivals(sched, inst)  # read by every check below
     except ValueError as exc:

@@ -97,14 +97,6 @@ class ProblemInstance:
             raise ValueError(f"k={k} out of range [0, {self.bikes}]")
         return ProblemInstance(self.sub_agents(k), self.inverse_speeds[:k])
 
-    def speed_of(self, label: int) -> Fraction:
-        """Inverse speed of a bike label; label 0 means walking (speed 1)."""
-        if label == 0:
-            return ONE
-        if not 1 <= label <= self.bikes:
-            raise ValueError(f"bike label {label} out of range [0, {self.bikes}]")
-        return self.inverse_speeds[label - 1]
-
     @cached_property
     def _label_speeds(self) -> tuple[list[int], int]:
         """The inverse speed of every label (0 walks) as ints over their lcm,
@@ -379,11 +371,13 @@ def _violations(matrix: ScheduleMatrix, partial) -> tuple[Violation, ...]:
 def verify_answer(
     s: Schedule, inst: ProblemInstance, cert: BoundCertificate, abandoned: tuple = ()
 ) -> None:
-    """Raise ``ContractError`` unless a solver answer meets conditions 1-3,
-    has no more columns than agents, has makespan ``cert.value``, and
-    reports as ``abandoned`` exactly the ``(bike, position)`` pairs of the
-    bikes ridden less than the whole interval, no more of them than the
-    instance's abandonment limit."""
+    """Raise ``ContractError`` unless a solver answer covers [0, 1], meets
+    conditions 1-3, has no more columns than agents, has makespan
+    ``cert.value``, and reports as ``abandoned`` exactly the ``(bike,
+    position)`` pairs of the bikes ridden less than the whole interval, no
+    more of them than the instance's abandonment limit."""
+    if s.length != ONE:
+        raise ContractError(f"solver answer covers length {s.length}, not 1")
     partial, den = _arrivals(s, inst)
     broken = _violations(s.matrix, partial)
     if broken:

@@ -107,8 +107,9 @@ def schedule_svg(sched: Schedule) -> str:
                 )
             w = sched.wait(i, j)
             if w != 0:
-                # Wait time drawn at the boundary, at the walking-time scale.
-                wx = min(float(w / total), 0.08) * (_WIDTH - 2 * _MARGIN_X)
+                # Wait time drawn at the boundary, at the walking-time scale,
+                # clamped before the float conversion that a huge wait overflows.
+                wx = float(min(w / total, Fraction(2, 25))) * (_WIDTH - 2 * _MARGIN_X)
                 parts.append(
                     f'<rect x="{_fmt(x1 - wx / 2)}" y="{_fmt(y)}" '
                     f'width="{_fmt(wx)}" height="{_LANE}" fill="url(#wait)" '

@@ -32,14 +32,13 @@ from bikesched import (
     build_lp,
     check_feasible,
     completion_profile,
-    is_vertex,
     one_abandonment_bound,
     reduce_schedule,
     relay_reference,
     solve_bs,
     solve_rbs,
 )
-from bikesched.lp import satisfies_all_constraints
+from bikesched.lp import is_vertex, satisfies_all_constraints
 from conftest import random_instance
 
 

@@ -1,10 +1,13 @@
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+import bikesched.bs as bs
+import bikesched.rbs as rbs
 from bikesched import (
-    NestedColumn,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
@@ -14,12 +17,12 @@ from bikesched import (
     brute_force_bs,
     check_feasible,
     completion_profile,
-    expand_with_partition,
     relay_reference,
     relay_schedule,
     solve_bs,
+    solve_rbs,
 )
-from bikesched.bs import solve_sync_partition, splice
+from bikesched.bs import NestedColumn, splice
 from conftest import random_instance
 
 
@@ -30,11 +33,49 @@ def relay_size(m: int, b: int) -> int:
 
 def partial_times(sched: Schedule, inst: ProblemInstance, end: int) -> list[F]:
     """Each agent's time over the first ``end`` columns."""
+    pace = (F(1), *inst.inverse_speeds)  # by label; 0 walks
     x = sched.partition[:end]
-    return [
-        sum(xj * inst.speed_of(label) for xj, label in zip(x, row))
-        for row in sched.matrix.rows
-    ]
+    return [sum(xj * pace[label] for xj, label in zip(x, row)) for row in sched.matrix.rows]
+
+
+def reference_splice(inst, columns, branches=None):
+    """``splice`` the long way, in ``Fraction``s: a paces matrix, each
+    catcher's gap summed afresh over every earlier column, then the
+    expansion.  ``branches`` counts the rate cases met."""
+    speed = (F(1), *inst.inverse_speeds)
+    paces, catchers = [], []  # the first column's catcher goes unread
+    for col in columns:
+        pace = [speed[label] for label in col.tail]
+        if col.block is not None:
+            row = col.block.matrix.rows[0]
+            finish = sum(x * speed[label] for x, label in zip(col.block.partition, row))
+            pace = [finish] * col.block.agents + pace
+        rider = next((i for i, label in enumerate(col.tail) if label), 0)
+        catchers.append(len(pace) - len(col.tail) + rider)
+        paces.append(pace)
+    z = [F(1)] + [F(0)] * (len(columns) - 1)
+    for c in range(1, len(columns)):
+        i = catchers[c]
+        gap = sum((paces[p][i] - paces[p][i - 1]) * z[p] for p in range(c))
+        rate = paces[c][i - 1] - paces[c][i]
+        if rate:
+            z[c] = gap / rate
+            assert z[c] >= 0
+        elif gap:
+            z[:c] = [F(0)] * c
+            z[c] = F(1)
+        if branches is not None:
+            branches["rate" if rate else "collapse" if gap else "tie"] += 1
+    total = sum(z)
+    xs, out_cols = [], []
+    for length, col in zip(z, columns):
+        if col.block is None:
+            xs.append(length / total)
+            out_cols.append(col.tail)
+        else:
+            xs.extend(length / total * x for x in col.block.partition)
+            out_cols.extend(sub + col.tail for sub in col.block.matrix.columns())
+    return Schedule(tuple(xs), ScheduleMatrix(tuple(zip(*out_cols))))
 
 
 class TestUnexpandedPartition:
@@ -83,45 +124,94 @@ class TestUnexpandedPartition:
         assert set(completion_profile(sched, inst).final) == {average_bound(inst)}
 
     def test_sync_recursion_steps(self):
-        # Hand-checkable two-interval instance: gap 1/20 closes at rate 1/2.
-        paces = ((F(3, 4), F(1)), (F(3, 4), F(1)), (F(4, 5), F(1, 2)))
-        z = solve_sync_partition(paces, ((2, 1),))
-        assert z == (F(1), F(1, 10))
+        # Hand-checkable two-interval splice: at the end of the first column
+        # the catcher (bike 3, u = 4/5) trails agent 2 (bike 2, u = 3/4) by
+        # 1/20; in the second it rides bike 1 (u = 1/2) under a walking
+        # block, closing at rate 1/2.  Host lengths 1 : 1/10.
+        inst = ProblemInstance(3, (F(1, 2), F(3, 4), F(4, 5)))
+        walk = Schedule((F(1),), ScheduleMatrix(((0,), (0,))))
+        sched = splice(inst, [NestedColumn(tail=(0, 2, 3)), NestedColumn((1,), walk)])
+        assert sched.partition == (F(10, 11), F(1, 11))
+
+
+class TestSpliceReference:
+    """Every column list the solvers splice, against ``reference_splice``."""
+
+    def test_matches_fraction_reference(self, monkeypatch):
+        calls = []
+
+        def spy(inst, columns):
+            out = splice(inst, columns)
+            calls.append((inst, list(columns), out))
+            return out
+
+        monkeypatch.setattr(bs, "splice", spy)
+        monkeypatch.setattr(rbs, "splice", spy)
+        rng = random.Random(0x5911CE)
+        ties = 0
+        for trial in range(300):
+            if trial % 2:
+                inst = random_instance(rng, max_agents=6)
+            else:  # few speeds, so that paces tie
+                m = rng.randint(1, 6)
+                us = [F(rng.choice((1, 2, 2, 3)), 4) for _ in range(rng.randint(0, m))]
+                inst = ProblemInstance(m, tuple(us))
+            ties += len(set(inst.inverse_speeds)) < inst.bikes
+            if not inst.bikes or inst.slowest <= average_bound(inst):
+                relay_reference(inst)
+            solve_rbs(ProblemInstance(inst.agents, inst.inverse_speeds, abandonment_limit=1))
+        branches = Counter()
+        for inst, columns, out in calls:
+            assert out == reference_splice(inst, columns, branches)
+        abandoning = sum(inst.abandonment_limit == 1 for inst, _, _ in calls)
+        assert ties > 30 and abandoning > 20
+        assert min(branches["rate"], branches["tie"], branches["collapse"]) > 10, branches
 
 
 class TestExpand:
     def test_block_of_size_one(self):
         block = Schedule((F(1),), ScheduleMatrix(((0,),)))
-        out = expand_with_partition((F(1),), [NestedColumn(tail=(1, 2), block=block)])
+        inst = ProblemInstance(3, (F(1, 2), F(2, 3)))
+        out = splice(inst, [NestedColumn(tail=(1, 2), block=block)])
         assert out.matrix.rows == ((0,), (1,), (2,))
         assert out.partition == (F(1),)
 
     def test_tail_replicated_across_block_columns(self):
         block = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((1, 0), (0, 1))))
-        out = expand_with_partition((F(1),), [NestedColumn(tail=(2,), block=block)])
+        inst = ProblemInstance(3, (F(1, 2), F(2, 3)))
+        out = splice(inst, [NestedColumn(tail=(2,), block=block)])
         assert out.matrix.rows == ((1, 0), (0, 1), (2, 2))
         assert out.partition == (F(1, 2), F(1, 2))
 
     def test_plain_columns_pass_through(self):
-        out = expand_with_partition(
-            (F(1, 4), F(3, 4)), [NestedColumn(tail=(1, 0)), NestedColumn(tail=(0, 1))]
-        )
-        assert out.matrix.rows == ((1, 0), (0, 1))
-        assert out.partition == (F(1, 4), F(3, 4))
+        # The walker takes bike 2 and closes its 3/4 gap to bike 1's rider at
+        # rate 1/2: lengths 1 : 3/2.
+        inst = ProblemInstance(3, (F(1, 4), F(1, 2)))
+        out = splice(inst, [NestedColumn(tail=(1, 0, 2)), NestedColumn(tail=(0, 2, 1))])
+        assert out.matrix.rows == ((1, 0), (0, 2), (2, 1))
+        assert out.partition == (F(2, 5), F(3, 5))
 
     def test_partition_splicing(self):
+        # Bike 2 (u = 2/3) trails bike 1 by 1/6 and closes at rate 3/4 - 2/3
+        # under the block, which finishes at 3/4: host lengths 1 : 2, and
+        # the block's halves become thirds.
         block = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((1, 0), (0, 1))))
-        sched = expand_with_partition(
-            (F(1, 3), F(2, 3)),
-            [NestedColumn(tail=(0, 0)), NestedColumn(tail=(), block=block)],
+        inst = ProblemInstance(3, (F(1, 2), F(2, 3)))
+        sched = splice(
+            inst, [NestedColumn(tail=(0, 1, 2)), NestedColumn(tail=(2,), block=block)]
         )
         assert sched.partition == (F(1, 3), F(1, 3), F(1, 3))
+        assert sched.matrix.rows == ((0, 1, 0), (1, 0, 1), (2, 2, 2))
 
     def test_height_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="heights"):
-            expand_with_partition(
-                (F(1, 2), F(1, 2)), [NestedColumn(tail=(0, 0)), NestedColumn(tail=(0,))]
-            )
+        inst = ProblemInstance(2, (F(1, 2),))
+        walk = Schedule((F(1),), ScheduleMatrix(((0,), (0,))))
+        for columns in (
+            [NestedColumn(tail=(1, 0)), NestedColumn(tail=(0, 1, 0))],
+            [NestedColumn(tail=(1, 0)), NestedColumn(tail=(1,), block=walk)],
+        ):
+            with pytest.raises(ValueError, match="heights"):
+                splice(inst, columns)
 
 
 class TestRelayReference:

@@ -230,6 +230,20 @@ class TestVerifyCommand:
         write_json(sched, {"partition": ["inf"], "matrix": [[1], [0]], "waits": None})
         assert main(["verify", "--schedule", str(sched), "--problem", str(problem_bs)]) == 2
 
+    @pytest.mark.parametrize(
+        "partition, matrix, total",
+        [(["1/4", "1/4"], [[1, 0], [0, 1]], "1/2"), (["0"], [[1], [0]], "0")],
+    )
+    def test_partition_not_covering_the_interval_exit_2(
+        self, problem_bs, tmp_path, capsys, partition, matrix, total
+    ):
+        sched = tmp_path / "s.json"
+        write_json(sched, {"partition": partition, "matrix": matrix, "waits": None})
+        assert main(["verify", "--schedule", str(sched), "--problem", str(problem_bs)]) == 2
+        captured = capsys.readouterr()
+        assert f"partition sums to {total}" in captured.err
+        assert "feasible" not in captured.out
+
     def test_bool_label_exit_2(self, tmp_path, capsys):
         # A JSON true is not bike label 1.
         problem = tmp_path / "p.json"
@@ -320,6 +334,18 @@ class TestRenderCommand:
         out = tmp_path / "wait.svg"
         assert main(["render", "--schedule", str(sched), "--out", str(out)]) == 0
         assert 'url(#wait)' in out.read_text()
+
+    def test_huge_wait_clamped(self, tmp_path):
+        # 1e400 has no float; the hatch is as wide as the widest drawn wait.
+        for wait, name in (("1e400", "huge"), ("1/10", "wide")):
+            sched = tmp_path / f"{name}.json"
+            write_json(
+                sched,
+                {"partition": ["1"], "matrix": [[1], [0]], "waits": [[wait], ["0"]]},
+            )
+            out = tmp_path / f"{name}.svg"
+            assert main(["render", "--schedule", str(sched), "--out", str(out)]) == 0
+        assert (tmp_path / "huge.svg").read_bytes() == (tmp_path / "wide.svg").read_bytes()
 
 
 class TestOracleCommand:

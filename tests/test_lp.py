@@ -14,18 +14,18 @@ from bikesched import (
     build_lp,
     check_feasible,
     completion_profile,
-    is_vertex,
     one_abandonment_bound,
     relay_reference,
     solve_bs,
     solve_partition,
     solve_rbs,
-    tight_constraint_rank,
 )
 from bikesched.lp import (
     LPContractError,
+    is_vertex,
     satisfies_all_constraints,
     solve_lp,
+    tight_constraint_rank,
     vertex_from_point,
 )
 from conftest import random_full_matrix, random_instance

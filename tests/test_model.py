@@ -309,10 +309,21 @@ class TestIntegerArrivals:
             ref = fraction_arrivals(sched, inst)
             tied = sum(ref[p][c - 1] == ref[d][c - 1] for p, d, c in handovers)
 
-            makespan = max(row[-1] for row in ref)
+            # An answer must cover [0, 1].  Scaling every length and wait by
+            # one factor scales every arrival by it and keeps the violations.
+            length = sched.length
+            if length:
+                sched = Schedule(
+                    tuple([x / length for x in sched.partition]),
+                    sched.matrix,
+                    sched.waits and tuple([
+                        tuple([w / length for w in row]) for row in sched.waits
+                    ]),
+                )
+            makespan = max(row[-1] for row in ref) / (length or 1)
             usage = abandonment_vector(sched, inst)
             left = tuple((k, y) for k, y in enumerate(usage, start=1) if y < 1)
-            sound = not violations and sched.size <= inst.agents
+            sound = length > 0 and not violations and sched.size <= inst.agents
             ties += tied
             sound_ties += sound and tied > 0
             sound_count += sound
@@ -359,6 +370,13 @@ class TestVerifyAnswer:
 
     def test_sound_answer_passes(self):
         verify_answer(RELAY_2, TWO_ONE, certifying(RELAY_2, TWO_ONE))
+
+    @pytest.mark.parametrize("partition", [(F(1, 4), F(1, 4)), (F(0), F(0)), (F(1), F(1, 2))])
+    def test_partition_must_cover_the_interval(self, partition):
+        # Feasible, and the certificate names the schedule's own makespan.
+        sched = Schedule(partition, RELAY_2.matrix)
+        with pytest.raises(ContractError, match="covers length"):
+            verify_answer(sched, TWO_ONE, certifying(sched, TWO_ONE))
 
     def test_infeasible(self):
         sched = Schedule((F(1, 2), F(1, 2)), ScheduleMatrix(((0, 1), (0, 0))))

@@ -17,10 +17,10 @@ from bikesched import (
     completion_profile,
     one_abandonment_bound,
     relay_schedule,
-    shared_prefix,
     solve_bs,
     solve_rbs,
 )
+from bikesched.rbs import shared_prefix
 from conftest import random_instance
 
 

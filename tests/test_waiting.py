@@ -45,6 +45,7 @@ def load_bearing_schedule(rng):
     partition = [F(rng.randint(0, 3), 4) for _ in range(n)]
     partition[rng.randrange(n)] += F(1, 4)
     waits = [[F(0)] * n for _ in range(m)]
+    pace = (F(1), *inst.inverse_speeds)  # by label; 0 walks
     reach = [F(0)] * m
     for j in range(n):
         early = j > 0
@@ -56,7 +57,7 @@ def load_bearing_schedule(rng):
                     reach[picker] = reach[dropper]
                     early = True
         for i in range(m):
-            reach[i] += inst.speed_of(cols[j][i]) * partition[j]
+            reach[i] += pace[cols[j][i]] * partition[j]
             if rng.random() < 0.1:
                 waits[i][j] += F(rng.randint(1, 4), 16)
                 reach[i] += waits[i][j]
