@@ -81,13 +81,13 @@ def splice(inst: ProblemInstance, columns: Sequence[NestedColumn]) -> Schedule:
     their lag.  The first column gets length 1.  In every later column the
     catcher is the first tail row on a bike; its lag (the gap) closes at the
     pace difference inside the column (the rate), so the column's length is
-    gap / rate.  A
-    zero rate with a zero gap leaves the length free (taken as 0); with a
-    positive gap the catcher can never close it here, so every earlier
-    column collapses to zero and this one gets length 1.  The lengths are
-    scaled to sum to 1, and a block of n' columns replaces its host with n'
-    columns carrying the host's tail rows, its partition scaled by the
-    host's length.
+    gap / rate.  A later column with no bike in its tail, or whose catcher is
+    row 0 (no row ahead of it), raises ``ValueError``.  A zero rate with a
+    zero gap leaves the length free (taken as 0); with a positive gap the
+    catcher can never close it here, so every earlier column collapses to
+    zero and this one gets length 1.  The lengths are scaled to sum to 1,
+    and a block of n' columns replaces its host with n' columns carrying the
+    host's tail rows, its partition scaled by the host's length.
     """
     speed, _ = inst._label_speeds
     z: list[Fraction] = []
@@ -104,8 +104,12 @@ def splice(inst: ProblemInstance, columns: Sequence[NestedColumn]) -> Schedule:
         elif len(pace) != len(lag):
             raise ValueError("inconsistent block + tail heights")
         else:
-            rider = next(i for i, label in enumerate(col.tail) if label)
+            rider = next((i for i, label in enumerate(col.tail) if label), None)
+            if rider is None:
+                raise ValueError(f"column {len(z)} has no bike in its tail to catch up")
             catcher = len(pace) - len(col.tail) + rider
+            if catcher == 0:
+                raise ValueError(f"column {len(z)}'s catcher is row 0, with no row above")
             gap = lag[catcher]
             rate = pace[catcher - 1] - pace[catcher]
             if rate:

@@ -32,10 +32,25 @@ multiset of speeds, so bound pruning stays exact.  Only the lexicographic
 leader of each orbit (the least row tuple) is scored, after Crawford,
 Ginsberg, Luks and Roy (1996): its first-column walker rows are
 non-decreasing, and no image under an equal-speed relabeling (rider rows
-reordered by their new first label, walker rows sorted) is smaller.  For
-speeds {4, 4, 5/4} at m = 4 and limit 1 this scores 5,646 of the 11,256
-matrices.  There is no makespan cache keyed by the orbit: it would solve as
-many LPs as the leader rule while holding every key it has seen.
+reordered by their new first label, walker rows sorted) is smaller.  There
+is no makespan cache keyed by the orbit: it would solve as many LPs as the
+leader rule while holding every key it has seen.
+
+Pruning last skips every leader that some group of agents rules out.  With
+s_ij agent i's inverse speed in column j, every feasible (x, tau) and every
+nonempty agent group A satisfy tau >= mean_{i in A} t_i = sum_j x_j *
+mean_{i in A} s_ij >= min_j mean_{i in A} s_ij: weak LP duality, with
+uniform weights on A's agent rows and none on the pickup rows.  A matrix in
+which some group is at least as slow as the incumbent in every column
+cannot beat it strictly, and the search keeps only strict improvements, so
+the skip changes no makespan and no witness.  In the integer speed table,
+with the incumbent p/q, label c weighs q * speed[c] - p * scale, and a group
+is slow in a column when its weights there sum to at least 0.  Each
+distinct column's slow groups form one bitmask over the 2^m - 1 groups,
+cached until the incumbent improves; a matrix is skipped when the AND of
+its columns' masks is nonzero.  For speeds {4, 4, 5/4} at m = 4 and limit
+1, 5,646 of the 11,256 matrices below the optimum are orbit leaders, and
+1,615 of them get an LP.
 
 The pruned and unpruned searches return identical values (property-tested);
 turn pruning off to make the search a pure exhaustive sweep.
@@ -50,7 +65,7 @@ from typing import Iterator, Optional
 
 from .lp import solve_partition
 from .model import (
-    ZERO, ContractError, ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector
+    ContractError, ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector
 )
 
 
@@ -64,8 +79,9 @@ class EnumerationBudget:
 
     ``max_columns`` of None means "as many columns as agents", which is
     always enough; raising it only slows the search down.  ``prune`` toggles
-    both the lower-bound pruning and the one-matrix-per-orbit skip described
-    in the module docstring; off, every enumerated matrix is scored.
+    the family bounds, the one-matrix-per-orbit skip and the agent-group
+    pace bound described in the module docstring; off, every enumerated
+    matrix is scored.
     """
 
     max_agents: int = 4
@@ -120,40 +136,36 @@ def brute_force_rbs(
     return tau, sched, abandonment_vector(sched, inst)
 
 
-def _column_average(inst: ProblemInstance, active: tuple[int, ...]) -> Fraction:
-    riding = sum((inst.inverse_speeds[k - 1] for k in active), ZERO)
-    walkers = inst.agents - len(active)
-    return (walkers + riding) / inst.agents
-
-
 def _families(
     inst: ProblemInstance, abandon_limit: int, max_cols: int
 ) -> list[_Family]:
-    b = inst.bikes
-    u = inst.inverse_speeds
+    b, m = inst.bikes, inst.agents
+    speed, scale = inst._label_speeds
+    # Every bound is an integer over m * scale: a column average is (walkers
+    # * scale + the riding bikes' speeds) / (m * scale), and u_k is m *
+    # speed[k] / (m * scale).  Each distinct numerator gets one Fraction.
+    bounds: dict[int, Fraction] = {}
     families = []
     for n in range(1, max_cols + 1):
         for count in range(0, min(abandon_limit, b) + 1):
             for retired in itertools.combinations(range(1, b + 1), count):
-                survivors = [k for k in range(1, b + 1) if k not in retired]
-                final_bound = max((u[k - 1] for k in survivors), default=ZERO)
+                survivors = [speed[k] for k in range(1, b + 1) if k not in retired]
+                final = m * max(survivors, default=0)
                 for lengths in itertools.product(range(n), repeat=count):
                     # Active sets only shrink along the columns, and dropping
                     # a bike (u < 1) for a walker raises the average, so
                     # column 0 has the lowest column average.
-                    first = tuple([
+                    first = [
                         k
                         for k in range(1, b + 1)
                         if k not in retired or lengths[retired.index(k)] > 0
-                    ])
-                    families.append(
-                        _Family(
-                            n,
-                            tuple(zip(retired, lengths)),
-                            max(_column_average(inst, first), final_bound),
-                            len(first),
-                        )
-                    )
+                    ]
+                    average = (m - len(first)) * scale + sum([speed[k] for k in first])
+                    num = max(average, final)
+                    if num not in bounds:
+                        bounds[num] = Fraction(num, m * scale)
+                    prefixes = tuple(zip(retired, lengths))
+                    families.append(_Family(n, prefixes, bounds[num], len(first)))
     return families
 
 
@@ -192,6 +204,17 @@ def _is_leader(
     return True
 
 
+def _slow_groups(col: tuple[int, ...], weight: list[int]) -> int:
+    """Bitmask of the agent groups at least as slow as the incumbent in
+    ``col``: bit g stands for the rows of g's binary digits, and it is set
+    when their weights sum to at least 0."""
+    sums = [0]
+    for label in col:
+        w = weight[label]
+        sums += [s + w for s in sums]
+    return sum([1 << g for g in range(1, len(sums)) if sums[g] >= 0])
+
+
 def _search(
     inst: ProblemInstance, budget: EnumerationBudget, abandon_limit: int
 ) -> tuple[Fraction, Schedule]:
@@ -202,6 +225,9 @@ def _search(
         families.sort(key=lambda f: (f.bound, f.n, f.prefixes))
     relabelings = _relabelings(inst)
     placements: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    speed, scale = inst._label_speeds
+    weight: list[int] = []
+    slow: dict[tuple[int, ...], int] = {}  # column -> _slow_groups(column, weight)
 
     best_tau: Optional[Fraction] = None
     best: Optional[Schedule] = None
@@ -209,8 +235,17 @@ def _search(
         if budget.prune and best_tau is not None and family.bound >= best_tau:
             break  # families are bound-sorted: nothing later can win
         for rows in _family_matrices(inst, family, placements):
-            if budget.prune and not _is_leader(rows, family.riders, relabelings):
-                continue  # its orbit's leader has the same makespan
+            if budget.prune:
+                if not _is_leader(rows, family.riders, relabelings):
+                    continue  # its orbit's leader has the same makespan
+                if best_tau is not None:
+                    groups = -1
+                    for col in zip(*rows):
+                        if col not in slow:
+                            slow[col] = _slow_groups(col, weight)
+                        groups &= slow[col]
+                    if groups:
+                        continue  # a group is too slow in every column
             matrix = ScheduleMatrix(rows)
             x, tau = solve_partition(matrix, inst)
             if budget.prune and tau < family.bound:
@@ -218,6 +253,9 @@ def _search(
             if best_tau is None or tau < best_tau:
                 best_tau = tau
                 best = Schedule(x, matrix)
+                p, q = best_tau.numerator, best_tau.denominator
+                weight = [q * s - p * scale for s in speed]
+                slow.clear()
                 if budget.prune and best_tau <= family.bound:
                     break  # this family cannot do strictly better
     return best_tau, best

@@ -213,6 +213,23 @@ class TestExpand:
             with pytest.raises(ValueError, match="heights"):
                 splice(inst, columns)
 
+    def test_later_column_without_a_tail_bike_rejected(self):
+        inst = ProblemInstance(2, (F(1, 2),))
+        walk = Schedule((F(1),), ScheduleMatrix(((0,),)))
+        for columns in (
+            [NestedColumn(tail=(1, 0)), NestedColumn(tail=(0, 0))],
+            [NestedColumn(tail=(1, 0)), NestedColumn(tail=(0,), block=walk)],
+        ):
+            with pytest.raises(ValueError, match="no bike in its tail"):
+                splice(inst, columns)
+
+    def test_catcher_on_row_zero_rejected(self):
+        # Row 0 has no row ahead to catch up with; the column would
+        # silently get length 0, giving the partition (1, 0).
+        inst = ProblemInstance(3, (F(1, 4), F(1, 2)))
+        with pytest.raises(ValueError, match="row 0"):
+            splice(inst, [NestedColumn(tail=(0, 1, 2)), NestedColumn(tail=(1, 0, 2))])
+
 
 class TestRelayReference:
     def test_two_agents_one_bike(self):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -9,11 +10,22 @@ from bikesched import (
     BudgetExceededError,
     EnumerationBudget,
     ProblemInstance,
+    ScheduleMatrix,
     brute_force_bs,
     brute_force_rbs,
     check_feasible,
     completion_profile,
+    solve_partition,
 )
+from conftest import random_full_matrix, random_instance
+
+
+def _count_lps(monkeypatch) -> list:
+    """A list that gains one entry for every LP the oracle solves."""
+    solves = []
+    solve = oracle.solve_partition
+    monkeypatch.setattr(oracle, "solve_partition", lambda *a: solves.append(1) or solve(*a))
+    return solves
 
 
 class TestBruteForceBs:
@@ -125,9 +137,7 @@ class TestPruning:
         tau, witness, _ = brute_force_rbs(inst, EnumerationBudget(max_columns=columns))
         assert any(skipped)
         # Without pruning every enumerated matrix gets its LP.
-        solves = []
-        solve = oracle.solve_partition
-        monkeypatch.setattr(oracle, "solve_partition", lambda *a: solves.append(1) or solve(*a))
+        solves = _count_lps(monkeypatch)
         slow = EnumerationBudget(max_columns=columns, prune=False)
         assert brute_force_rbs(inst, slow)[0] == tau
         assert len(solves) == sum(
@@ -135,6 +145,34 @@ class TestPruning:
             for family in oracle._families(inst, limit, columns or m)
             for _ in oracle._family_matrices(inst, family, {})
         )
+        assert check_feasible(witness, inst).ok
+        assert completion_profile(witness, inst).makespan == tau
+
+    def test_group_bound_caps_the_full_search(self, monkeypatch):
+        # No family bound stops this search: 11,256 matrices below the
+        # optimum, 5,646 orbit leaders, most of them outpaced by a slow group.
+        inst = ProblemInstance(4, (F(1, 4), F(1, 4), F(4, 5)), abandonment_limit=1)
+        solves = _count_lps(monkeypatch)
+        assert brute_force_rbs(inst)[0] == F(19, 32)
+        assert len(solves) <= 1_615
+
+    @pytest.mark.parametrize(
+        "us, columns", [((F(1, 3), F(4, 7)), None), ((F(1, 3), F(4, 7), F(3, 4)), 3)]
+    )
+    def test_group_bound_equals_exhaustive(self, us, columns, monkeypatch):
+        # Distinct speeds, so the orbit skip leaves most matrices to the
+        # group bound.  Skipping never changes the answer, witness included.
+        inst = ProblemInstance(4, us, abandonment_limit=1)
+        budget = EnumerationBudget(max_columns=columns)
+        solves = _count_lps(monkeypatch)
+        tau, witness, _ = brute_force_rbs(inst, budget)
+        bounded = len(solves)
+        monkeypatch.setattr(oracle, "_slow_groups", lambda col, weight: 0)  # no group is slow
+        assert brute_force_rbs(inst, budget)[:2] == (tau, witness)
+        unbounded = len(solves) - bounded
+        assert 2 * bounded < unbounded
+        slow = EnumerationBudget(max_columns=columns, prune=False)
+        assert brute_force_rbs(inst, slow)[0] == tau
         assert check_feasible(witness, inst).ok
         assert completion_profile(witness, inst).makespan == tau
 
@@ -172,7 +210,7 @@ class TestPruning:
     def test_family_bound_is_lowest_column_average(self):
         # Each family's bound is the larger of its final-column bikes' u_k
         # and the lowest column average over all of its columns.
-        from bikesched.oracle import _column_average, _families
+        from bikesched.oracle import _families
 
         grid = [F(4, 5), F(1, 2), F(2, 3), F(1, 4)]
         for m in (1, 2, 3, 4):
@@ -181,9 +219,11 @@ class TestPruning:
                 for family in _families(inst, 2, m):
                     retired = dict(family.prefixes)
                     lowest = min(
-                        _column_average(inst, tuple(
-                            k for k in range(1, b + 1) if retired.get(k, c + 1) > c
-                        ))
+                        sum(
+                            (inst.inverse_speeds[k - 1] for k in range(1, b + 1)
+                             if retired.get(k, c + 1) > c),
+                            F(m - b + sum(1 for k in retired if retired[k] <= c)),
+                        ) / m
                         for c in range(family.n)
                     )
                     final = max(
@@ -191,3 +231,30 @@ class TestPruning:
                         default=F(0),
                     )
                     assert family.bound == max(lowest, final)
+
+
+class TestGroupBound:
+    def test_makespan_is_at_least_every_group_pace(self):
+        # Weak duality with uniform weights on an agent group A and none on
+        # the pickup rows: tau >= mean_{i in A} t_i >= A's least column mean
+        # pace.  The search's bitmask marks exactly the groups whose mean
+        # pace in a column is at least a given tau.
+        rng = random.Random(7)
+        for _ in range(200):
+            inst = random_instance(rng, max_agents=4, max_bikes=3)
+            m, n = inst.agents, rng.randint(1, inst.agents)
+            cols = [list(col) for col in zip(*random_full_matrix(rng, inst, n).rows)]
+            for k in range(1, inst.bikes + 1):
+                if rng.random() < 0.3:  # retire bike k after a prefix
+                    for col in cols[rng.randint(1, n):]:
+                        col[col.index(k)] = 0
+            _, tau = solve_partition(ScheduleMatrix(tuple(zip(*cols))), inst)
+            pace = (F(1), *inst.inverse_speeds)
+            speed, scale = inst._label_speeds
+            weight = [tau.denominator * s - tau.numerator * scale for s in speed]
+            masks = [oracle._slow_groups(tuple(col), weight) for col in cols]
+            for g in range(1, 2**m):
+                group = [i for i in range(m) if g >> i & 1]
+                means = [sum(pace[col[i]] for i in group) / len(group) for col in cols]
+                assert tau >= min(means)
+                assert [bool(mask >> g & 1) for mask in masks] == [t >= tau for t in means]
