@@ -2,40 +2,46 @@
 
 For a fixed matrix M the best partition solves a small LP: minimize the
 makespan tau subject to tau >= t_i for every agent, a pickup-ordering row for
-every bike handover, x_j >= 0 and sum x_j = 1.  The solver below is a
-one-phase simplex over exact rationals with Bland's rule (lowest-index
-entering column, lowest-index leaving basic variable on ratio ties), which
-cannot cycle (Bland 1977), so it always terminates at an optimal *vertex* of
-the feasible region -- the schedule reduction argument counts tight
-constraints at a vertex, so returning any old optimal point would not do.
+every bike handover, x_j >= 0 and sum x_j = 1.  The schedule reduction
+argument counts tight constraints at a vertex, so every answer here is a
+*vertex* of the feasible region, not just any optimal point.
 
-No phase 1 is needed, because one vertex is always feasible: all length in
-the last column, with tau the slowest agent's inverse speed there.  No pickup
-row has a last-column term, so that point meets each pickup row with
-equality, and two pivots reach its basis.  Every LP is solved in one shot
-with all of its pickup rows.
+One engine, ``_walk``, serves both entry points.  Its state is x, then tau,
+then the value of every agent and pickup row, all ints over one positive
+denominator; the same order numbers the constraints (``PartitionLP.row``),
+with the sum row at tau's index n, as tau is never a constraint.  Each step
+moves along an edge until the nearest blocker, the first in state order on
+a tie, meets its constraint:
+
+- **Slide.**  While the echelon of working rows leaves a free column, the
+  step keeps them tight and cannot raise tau, and every blocker joins the
+  echelon, so at most n + 1 steps reach a vertex.  ``vertex_from_point``
+  slides from the rows tight at its point and stops at a vertex, where its
+  echelon has no slots left.
+- **Exchange.**  ``solve_lp``'s echelon writes x and tau over the working
+  rows' slacks w (w_j = x_j, w_sum = sum x).  The walk relaxes the
+  lowest-id slack whose rise lowers tau, and the blocker's slack takes its
+  slot: the primal simplex on the slack formulation with Bland's rule,
+  which cannot cycle (Bland 1977; Chvatal 1983, ch. 3).  It starts, in
+  closed form, at the vertex with all length in the last column, which no
+  pickup row constrains, so no phase 1 is needed.
 
 ``PartitionLP`` holds the inverse speeds s as ints over one scale, the lcm
 of the instance's denominators (``ProblemInstance`` keeps that table).  An
 agent row is then scale * tau - S_i(n) and a pickup row S_p(col) - S_d(col),
 in the prefix sums S_i(c) = sum_{k<c} s_ik x_k, so ``row_values`` evaluates
-all R rows in O(m n + R), for the slide and the feasibility check; the dense
-``int_rows`` serve the simplex and the tight rows an echelon absorbs.
+all R rows in O(m n + R); a dense row is built only when the echelon takes
+it in.
 
 One fraction-free kernel, ``_pivot``, does all elimination on Python ints
 (Edmonds 1967; Bareiss 1968), in dictionary form (Chvatal 1983, ch. 2-3):
 a row keeps its positive pivot entry (its head) and its entries in the free
-(non-pivot) columns, a list all rows share, with the simplex's right-hand
-side last.  A pivot drops the entering column's slot (the simplex's start on
-its sum row; each row the echelon of tight constraints absorbs) or hands it
-to the leaving basic column (a simplex pivot), and takes every other row to
-head * row - f * pivot row, divided by the gcd of its slots and head; no
-work goes to the zeros in pivot columns, the simplex's basic slacks among
-them.  Every decision depends only on signs and on ratios compared by
-cross-multiplication, which positive row factors leave alone, so the pivots
-and answers are those of exact rational elimination.  ``Fraction`` appears
-only at the boundary: start points come in as ``Fraction``, answers go out
-as ``Fraction`` in lowest terms.
+slots, a list all rows share.  A pivot drops the entering slot (a row a
+slide absorbs) or hands it to the leaving column (an exchange), and takes
+every other row to head * row - f * pivot row over the gcd of its entries.
+Every decision depends only on signs and on ratios compared by
+cross-multiplication, so the steps and answers are those of exact rational
+elimination.  ``Fraction`` appears only at the boundary.
 
 A broken solver contract raises ``LPContractError`` (a ``ContractError``),
 never ``assert``, so the checks also run under ``python -O``.
@@ -45,13 +51,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
 from .model import (
-    ZERO,
     ContractError,
     ProblemInstance,
     ScheduleMatrix,
@@ -90,22 +94,23 @@ class PartitionLP:
     def agents(self) -> int:
         return len(self.speeds)
 
-    @cached_property
-    def int_rows(self) -> list[list[int]]:
-        """Every inequality as an integer row a over (x, tau) with
-        a . (x, tau) >= 0: tau - t_i for each agent, then for each handover
-        the picker's time minus the dropper's at its column, which has no tau
-        term, scaled by ``scale``."""
-        s, scale = self.speeds, self.scale
-        agents = [[-c for c in row] + [scale] for row in s]
-        pickups = [
-            [s[p][k] - s[d][k] for k in range(col)] + [0] * (self.n - col + 1)
-            for p, d, col in self.switches
-        ]
-        return agents + pickups
+    def row(self, j: int) -> list[int]:
+        """Constraint j in state order as an integer row a, a . (x, tau) >= 0:
+        x_j for j < n, the sum row at n (sum x = 1), scale * (tau - t_i) for
+        each agent, then scale times each handover's picker's time minus its
+        dropper's at its column, which has no tau term."""
+        n, s = self.n, self.speeds
+        if j <= n:
+            return [1] * n + [0] if j == n else [0] * j + [1] + [0] * (n - j)
+        r = j - n - 1
+        if r < len(s):
+            return [-c for c in s[r]] + [self.scale]
+        p, d, col = self.switches[r - len(s)]
+        return [s[p][k] - s[d][k] for k in range(col)] + [0] * (n - col + 1)
 
     def row_values(self, v) -> list[int]:
-        """``int_rows . v`` at an integer vector v over (x, tau), from agent prefix sums."""
+        """``row(j) . v`` for every agent and handover row j > n, at an
+        integer vector v over (x, tau), from agent prefix sums."""
         sums = [list(accumulate(map(mul, row, v), initial=0)) for row in self.speeds]
         n, tau = self.n, self.scale * v[self.n]
         return [tau - si[n] for si in sums] + [sums[p][c] - sums[d][c] for p, d, c in self.switches]
@@ -114,11 +119,13 @@ class PartitionLP:
 def build_lp(matrix: ScheduleMatrix, inst: ProblemInstance) -> PartitionLP:
     """Collect the LP constraint system for a matrix.
 
-    Rejects matrices with a bike ridden twice in one column or appearing out
-    of nowhere, which have no feasible partition at all, and labels above
-    the instance's bike count.  The speeds are read off the instance's
-    integer label speed table.
+    Rejects a row count other than the instance's agent count, a bike ridden
+    twice in one column or appearing out of nowhere (no partition makes such
+    a matrix feasible), and labels above the instance's bike count.  The
+    speeds are read off the instance's integer label speed table.
     """
+    if matrix.agents != inst.agents:
+        raise ValueError(f"matrix has {matrix.agents} rows but instance has {inst.agents} agents")
     broken = structural_violations(matrix)
     if broken:
         raise ValueError(f"no partition makes this matrix feasible: {broken}")
@@ -143,60 +150,106 @@ def solve_partition(
 def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     """Minimize tau by Bland's rule from the final-column vertex.
 
-    Columns: x, tau, one slack per agent and pickup row, and the right-hand
-    side.  A row a of ``int_rows`` is -a . (x, tau) + slack = 0, its slack
-    basic; the sum row sum x = 1 has no basic column yet, and the objective
-    row (reduced costs, then minus the value of min tau) comes last.
+    x = e_last, with tau the inverse speed of agent a, the first agent
+    slowest in the last column.  Its working rows are x_j >= 0 (j < n - 1),
+    the sum row and agent a's row; over their slacks w the echelon is
+    x_j = w_j, x_last = w_sum - sum_j w_j, scale * tau = w_a + sum_j s_aj x_j.
     """
-    n, m, n_ineq = lp.n, lp.agents, len(lp.int_rows)
-    rows = [[-c for c in a] + [0] for a in lp.int_rows]
-    rows += [[1] * n + [0, 1], [0] * n + [1, 0]]
-    heads = [1] * n_ineq + [0, 0]
-    basis = list(range(n + 1, n + 1 + n_ineq)) + [-1, -1]
-    free = list(range(n + 1)) + [n + 1 + n_ineq]
-
-    # x_last enters the sum row; no pickup row has a last-column term, so only
-    # the agent rows change.  tau (now slot n - 1) then enters the row of the
-    # agent slowest in the last column: every other agent's slack stays >= 0.
-    _pivot(rows, heads, basis, free, n_ineq, n - 1, drop=True)
-    slowest = max(range(m), key=lambda i: lp.speeds[i][n - 1])
-    _pivot(rows, heads, basis, free, slowest, n - 1)
-    if any(rows[r][-1] < 0 for r in range(n_ineq + 1)):
+    n, s, scale = lp.n, lp.speeds, lp.scale
+    a = max(range(lp.agents), key=lambda i: s[i][n - 1])
+    last = s[a][n - 1]
+    if last < 0:  # tau below zero: only a negative inverse speed does that
         raise LPContractError("the final-column start is not feasible")
+    # Over den = scale: no pickup row has a last-column term, so each is 0.
+    state = [0] * (n - 1) + [scale, last] + [scale * (last - si[n - 1]) for si in s]
+    state += [0] * len(lp.switches)
+    # Slots: w_j for j < n - 1, then w_sum, then w_a.
+    tight = [[0] * j + [-1] + [0] * (n - j) for j in range(n - 1)]
+    tight.append([1] * (n - 1) + [-1, 0])
+    tight.append([last - c for c in s[a][: n - 1]] + [-last, -1])
+    slots = [*range(n - 1), n, n + 1 + a]
+    return _walk(lp, (tight, [1] * n + [scale], list(range(n + 1)), slots), state, scale)
 
+
+def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
+    """Step ``state`` (x, tau, then every ``row_values`` row, ints over
+    ``den``) along edges of the feasible region until no step lowers tau,
+    and return that vertex's ``(x, tau)`` as Fractions."""
+    n = lp.n
+    width = n + 1
+    tight, heads, pivots, free = echelon
     while True:
-        negative = [k for k, c in zip(range(len(free) - 1), rows[-1]) if c < 0]
-        if not negative:
-            break
-        enter = min(negative, key=free.__getitem__)
-        # Bland's ratio test: the least rhs / a over rows with a > 0, by
-        # cross-multiplication; ties go to the lowest basic variable.
-        leave = -1
-        for r in range(n_ineq + 1):
-            a = rows[r][enter]
-            if a > 0:
-                if leave >= 0:
-                    cross = rows[r][-1] * rows[leave][enter] - rows[leave][-1] * a
-                    if cross > 0 or (cross == 0 and basis[r] > basis[leave]):
-                        continue
-                leave = r
-        if leave < 0:
-            raise LPContractError("the partition LP is unbounded")
-        _pivot(rows, heads, basis, free, leave, enter)
+        sliding = len(tight) < width
+        if sliding:
+            k = 0
+        else:
+            # Slots whose slack lowers tau as it rises; tau's row is last.
+            # w_sum never does: along it the point scales and tau >= 0 grows.
+            rising = [k for k, c in enumerate(tight[n]) if c > 0]
+            if not rising:
+                return tuple([Fraction(a, den) for a in state[:n]]), Fraction(state[n], den)
+            k = min(rising, key=free.__getitem__)
+        # Slot k rises at rate ``scale`` and every other slot stays put; a
+        # free column is its own variable, and each row gives its pivot's.
+        scale = lcm(*[h for row, h in zip(tight, heads) if row[k]])
+        d = [0] * width
+        if sliding:
+            d[free[0]] = scale
+        for row, h, col in zip(tight, heads, pivots):
+            d[col] = -row[k] * (scale // h)
+        if d[n] > 0:
+            d = [-a for a in d]
+        rate = d + lp.row_values(d)
+        # Blockers: x_j and slack rows falling at rate -rate[j]; tau is none.
+        blockers = [j for j, r in enumerate(rate) if r < 0 <= state[j] and j != n]
+        if not blockers:
+            raise LPContractError("nothing blocks the walk from a feasible point")
+        # The step is num / q (times 1 / den); the first smallest ratio wins.
+        num, q = state[blockers[0]], -rate[blockers[0]]
+        for j in blockers:
+            if state[j] * q < num * -rate[j]:
+                num, q = state[j], -rate[j]
+        hits = [j for j in blockers if state[j] * q == num * -rate[j]]
+        if num:  # else a degenerate step: the point stays
+            state = [q * a + num * b for a, b in zip(state, rate)]
+            den *= q
+            g = gcd(den, *state)
+            if g > 1:
+                state, den = [a // g for a in state], den // g
+        if sliding:
+            for j in hits:
+                _absorb(echelon, lp.row(j))
+        else:
+            _exchange(lp, echelon, k, hits[0])
 
-    solution = [ZERO] * (n + 1)
-    for r, b in enumerate(basis):
-        if 0 <= b <= n:
-            solution[b] = Fraction(rows[r][-1], heads[r])
-    return tuple(solution[:n]), solution[n]
+
+def _exchange(lp: PartitionLP, echelon: tuple, k: int, b: int) -> None:
+    """Put the slack of constraint ``b`` in slot ``k``: append b's row over
+    the slots, basic in w_b (x_b's own row when b < n), pivot slot k into it
+    and drop it again.  Here row c of the echelon is that of column c."""
+    tight, heads, pivots, _free = echelon
+    if b < lp.n:
+        tight.append(list(tight[b]))
+        heads.append(heads[b])
+    else:
+        # w_b = sum_c a_c v_c over v = (x, tau), and h_c v_c is minus row c
+        # over the slots, so scale * w_b + sum_c a_c (scale / h_c) row c = 0.
+        row = lp.row(b)
+        hits = [c for c, a in enumerate(row) if a]
+        scale = lcm(*[heads[c] for c in hits])
+        factors = [row[c] * (scale // heads[c]) for c in hits]
+        tight.append([sum(map(mul, factors, col)) for col in zip(*[tight[c] for c in hits])])
+        heads.append(scale)
+    pivots.append(b)
+    _pivot(*echelon, len(tight) - 1, k)
+    del tight[-1], heads[-1], pivots[-1]
 
 
 def _pivot(rows, heads, basis, free, r, k, drop=False) -> None:
     """Make column ``free[k]`` basic in ``rows[r]``, negated first if its
-    entry there is negative.  Row s is heads[s] * x_basis[s] plus rows[s]
-    over x_free (the simplex's last slot is its right-hand side); a head of
-    0 means no basic column.  The leaving column basis[r] takes slot k, or
-    with ``drop`` the slot leaves every row."""
+    entry there is negative.  Row s says heads[s] * x_basis[s] plus rows[s]
+    over x_free is 0; a head of 0 means no basic column.  The leaving column
+    basis[r] takes slot k, or with ``drop`` the slot leaves every row."""
     piv = rows[r]
     a, p = piv[k], heads[r]
     if a < 0:
@@ -228,79 +281,27 @@ def vertex_from_point(
 ) -> tuple[tuple[Fraction, ...], Fraction]:
     """Slide a feasible point to a vertex without increasing the makespan.
 
-    While fewer than n + 1 independent constraints are tight, there is a
-    direction that keeps every tight constraint tight; following it (oriented
-    so the makespan cannot grow) hits a slack constraint.  Every tight row
-    has slope 0 along it, so when it leaves x fixed a slack agent row blocks
-    it (tau falls), and otherwise some x_j > 0 shrinks.  Each hit adds an
-    independent tight row, so at most n + 1 exact ratio steps reach a
-    vertex; no simplex, no stalling.
-
-    The point is carried as integers ``v`` over one positive denominator
-    ``den``, and each row's value at it as ``values`` = ``int_rows`` . v.
-
-    Used by the schedule reducer in every round: the size argument only
-    needs vertex-ness, not re-optimization.
+    Each step keeps every tight constraint tight and meets a slack one (a
+    slack agent row when tau falls, else some x_j > 0 shrinks), so at most
+    n + 1 exact ratio steps reach a vertex.  Used by the schedule reducer in
+    every round: the size argument only needs vertex-ness, not
+    re-optimization.
     """
-    n = lp.n
-    width = n + 1
-    rows = lp.int_rows
     v, den = _integral((*x, tau))
-    echelon, values = _tight_echelon(lp, v)
-    tight, heads, pivots, free = echelon
-
-    while len(tight) < width:
-        # The kernel direction with d[free[0]] > 0 and 0 in every other free
-        # column, scaled to integers.
-        scale = lcm(*[h for row, h in zip(tight, heads) if row[0]])
-        d = [0] * width
-        d[free[0]] = scale
-        for row, h, col in zip(tight, heads, pivots):
-            d[col] = -row[0] * (scale // h)
-        if d[n] > 0:
-            d = [-a for a in d]
-        slopes = lp.row_values(d)
-        # Blockers: slack rows, then x_j >= 0, each falling at rate -slope.
-        level = values + v[:n]
-        rate = slopes + d[:n]
-        blockers = [k for k, s in enumerate(rate) if s < 0 < level[k]]
-        if not blockers:
-            raise LPContractError("nothing blocks the slide from a feasible point")
-        # The step is num / q (times 1 / den); the first smallest ratio wins.
-        num, q = level[blockers[0]], -rate[blockers[0]]
-        for k in blockers:
-            if level[k] * q < num * -rate[k]:
-                num, q = level[k], -rate[k]
-        v = [q * a + num * b for a, b in zip(v, d)]
-        values = [q * a + num * b for a, b in zip(values, slopes)]
-        den *= q
-        g = gcd(den, *v)
-        if g > 1:
-            v, values, den = [a // g for a in v], [a // g for a in values], den // g
-        for k in blockers:
-            if level[k] * q == num * -rate[k]:
-                hit = rows[k] if k < len(rows) else _unit_row(k - len(rows), width)
-                _absorb(echelon, hit)
-
-    return tuple([Fraction(a, den) for a in v[:n]]), Fraction(v[n], den)
+    return _walk(lp, *_tight_echelon(lp, v), den)
 
 
 def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[tuple, list[int]]:
     """The echelon of the constraints tight at the integer point ``v`` (any
-    positive multiple of (x, tau)), and each ``lp.int_rows`` value there.
-    sum x = 1 is always tight; x_j >= 0 is tight, as a unit row, when
-    x_j = 0."""
+    positive multiple of (x, tau)), and the state there: v, then every
+    ``row_values`` row.  The sum row, index n, is always tight."""
     n = lp.n
+    state = v + lp.row_values(v)
     echelon = ([], [], [], list(range(n + 1)))
-    _absorb(echelon, [1] * n + [0])  # sum x = 1
-    values = lp.row_values(v)
-    for row, val in zip(lp.int_rows, values):
-        if val == 0:
-            _absorb(echelon, row)
-    for j in range(n):
-        if v[j] == 0:
-            _absorb(echelon, _unit_row(j, n + 1))
-    return echelon, values
+    for j, value in enumerate(state):
+        if value == 0 or j == n:
+            _absorb(echelon, lp.row(j))
+    return echelon, state
 
 
 def _absorb(echelon: tuple, row) -> None:
@@ -325,10 +326,6 @@ def _absorb(echelon: tuple, row) -> None:
     _pivot(*echelon, len(tight) - 1, lead, drop=True)
 
 
-def _unit_row(j: int, width: int) -> list[int]:
-    return [0] * j + [1] + [0] * (width - j - 1)
-
-
 def tight_constraint_rank(
     lp: PartitionLP, x: tuple[Fraction, ...], tau: Fraction
 ) -> int:
@@ -338,7 +335,7 @@ def tight_constraint_rank(
     equals the variable count n + 1.
     """
     v, _den = _integral((*x, tau))
-    echelon, _values = _tight_echelon(lp, v)
+    echelon, _state = _tight_echelon(lp, v)
     return len(echelon[0])
 
 

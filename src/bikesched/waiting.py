@@ -49,14 +49,15 @@ def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
 
     Returns a feasible schedule in standard form with no waiting matrix, no
     larger than ``s``, whose total finish time is lower by exactly the total
-    wait.  A schedule with no positive wait is returned unchanged.
+    wait.  A feasible schedule with no positive wait is returned unchanged;
+    an infeasible one raises ``ValueError``, with or without waits.
     """
-    if s.waits is None or all(w == 0 for row in s.waits for w in row):
-        return s
     partial, den = _arrivals(s, inst)
     broken = _violations(s.matrix, partial)
     if broken:
         raise ValueError(f"cannot remove waits from an infeasible schedule: {broken}")
+    if s.waits is None or all(w == 0 for row in s.waits for w in row):
+        return s
     result, _, _ = _sweep(s.partition, s.matrix.rows, inst)
     out, out_den = _arrivals(result, inst)
     if max([row[-1] for row in out]) * den > max([row[-1] for row in partial]) * out_den:

@@ -46,7 +46,14 @@ class TestBuildLp:
         assert _speed_rows(lp) == ((F(1, 2), F(1)), (F(1), F(1, 2)))
         # Scaled by 2: tau - t_1, tau - t_2, then the pickup row, whose
         # positive sign says agent 2 may not pick up before agent 1 arrives.
-        assert lp.int_rows == [[-1, -2, 2], [-2, -1, 2], [1, 0, 0]]
+        assert [lp.row(j) for j in range(3, 6)] == [[-1, -2, 2], [-2, -1, 2], [1, 0, 0]]
+
+    def test_rejects_row_count_other_than_agent_count(self):
+        inst = ProblemInstance(3, (F(1, 2),))
+        with pytest.raises(ValueError, match="3 agents"):
+            build_lp(RELAY_M, inst)
+        with pytest.raises(ValueError, match="3 agents"):
+            solve_partition(RELAY_M, inst)
 
     def test_walk_only(self):
         lp = build_lp(ScheduleMatrix(((0,), (0,))), TWO_ONE)
@@ -72,7 +79,7 @@ class TestBuildLp:
 
 class TestRowValues:
     """``PartitionLP.row_values``, evaluated from the agents' prefix sums,
-    against the dense ``int_rows`` times v."""
+    against the dense ``row(j)`` times v."""
 
     def test_prefix_sums_match_dense_rows(self, rng):
         switches = 0
@@ -88,7 +95,8 @@ class TestRowValues:
             units = [[int(c == j) for c in range(width)] for j in range(width)]
             draws = [[rng.randint(-(10**6), 10**6) for _ in range(width)] for _ in range(3)]
             for v in [[0] * width, *units, *draws]:
-                dense = [sum(a * b for a, b in zip(row, v)) for row in lp.int_rows]
+                rows = map(lp.row, range(width, width + lp.agents + len(lp.switches)))
+                dense = [sum(a * b for a, b in zip(row, v)) for row in rows]
                 assert lp.row_values(v) == dense
         assert switches > 500
 
@@ -538,6 +546,25 @@ class TestEchelonKernel:
                 assert [F(a, row[col]) for a in row] == want[col]
             deficient += len(want) < min(len(rows), width)
         assert deficient > 50
+
+    def test_shuffled_stream_gives_the_same_echelon(self, rng):
+        # The reduced echelon does not depend on the order rows arrive in,
+        # so the constraints tight at a point may be absorbed in any order.
+        from bikesched.lp import _absorb
+
+        for _ in range(300):
+            width = rng.randint(1, 9)
+            rows = self._stream(rng, width)
+            shuffled = rng.sample(rows, len(rows))
+            echelons = []
+            for stream in (rows, shuffled):
+                echelon = ([], [], [], list(range(width)))
+                for row in stream:
+                    _absorb(echelon, row)
+                echelons.append(echelon)
+            first, second = echelons
+            assert _echelon_rows(first) == _echelon_rows(second)
+            assert first[3] == second[3]
 
 
 def _bland_tableau(lp):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from bikesched import (
     ProblemInstance,
     Schedule,
@@ -69,6 +71,18 @@ class TestRemoveAllWaits:
     def test_identity_without_waits(self):
         sched = Schedule(HALF, RELAY_M)
         assert remove_all_waits(sched, TWO_ONE) is sched
+
+    def test_infeasible_schedule_raises_with_or_without_waits(self):
+        # Agent 2 picks up the 9/10 bike at 1/20, before agent 1 brings it
+        # at 9/20.  No wait may excuse the check.
+        inst = ProblemInstance(2, (F(1, 10), F(9, 10)))
+        matrix = ScheduleMatrix(((2, 1), (1, 2)))
+        zero = ((F(0), F(0)), (F(0), F(0)))
+        for waits in (None, zero):
+            with pytest.raises(ValueError, match="infeasible"):
+                remove_all_waits(Schedule(HALF, matrix, waits), inst)
+        with pytest.raises(ValueError, match="infeasible"):
+            remove_all_waits(with_wait(0, 1, F(1, 10), matrix), inst)
 
     def test_single_wait(self):
         out = remove_all_waits(with_wait(0, 0, F(1, 10)), TWO_ONE)
