@@ -47,10 +47,27 @@ the skip changes no makespan and no witness.  In the integer speed table,
 with the incumbent p/q, label c weighs q * speed[c] - p * scale, and a group
 is slow in a column when its weights there sum to at least 0.  Each
 distinct column's slow groups form one bitmask over the 2^m - 1 groups,
-cached until the incumbent improves; a matrix is skipped when the AND of
-its columns' masks is nonzero.  For speeds {4, 4, 5/4} at m = 4 and limit
-1, 5,646 of the 11,256 matrices below the optimum are orbit leaders, and
-1,615 of them get an LP.
+cached until the incumbent improves.
+
+A group may also change rows along pickups, which puts weight on the pickup
+rows too.  A relay path is one row r_c per column c that changes, r_c !=
+r_{c-1}, only where r_c picks up at boundary c the bike r_{c-1} dropped.
+With S_i(c) agent i's time at boundary c, each pickup row keeps
+S_{r_{c-1}}(c) <= S_{r_c}(c), so by induction over the columns a path's
+time sum_j s_{r_j j} x_j is at most t_{r_{n-1}} <= tau.  A group of k
+relay paths on distinct rows then has mean time at most tau, and at least
+the incumbent when its rows are slow in every column, so the skip stays
+exact.  The search walks the columns with the bitmask of groups reached:
+it ANDs in each column's slow groups and, at each boundary, closes the
+reached groups under the pickup moves -- every reached g with d in g and p
+not in g, for a pickup (p, d), also reaches g - {d} + {p} -- to a fixpoint,
+as pickups chain within one boundary.  Each column pair's moves are cached
+for the call; a matrix is skipped when the final mask is nonzero.  The
+closure only adds groups, so this skips every matrix that groups fixed to
+their rows skip, and with no pickups it is the AND of the columns' masks.
+For speeds {4, 4, 5/4} at m = 4 and limit 1, 5,646 of the 11,256 matrices
+below the optimum are orbit leaders, and 783 of them get an LP (1,615 with
+groups fixed to their rows).
 
 The pruned and unpruned searches return identical values (property-tested);
 turn pruning off to make the search a pure exhaustive sweep.
@@ -65,7 +82,7 @@ from typing import Iterator, Optional
 
 from .lp import solve_partition
 from .model import (
-    ContractError, ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector
+    ContractError, ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector, pickups
 )
 
 
@@ -79,9 +96,9 @@ class EnumerationBudget:
 
     ``max_columns`` of None means "as many columns as agents", which is
     always enough; raising it only slows the search down.  ``prune`` toggles
-    the family bounds, the one-matrix-per-orbit skip and the agent-group
-    pace bound described in the module docstring; off, every enumerated
-    matrix is scored.
+    the family bounds, the one-matrix-per-orbit skip and the pace bound of
+    relay-closed agent groups described in the module docstring; off, every
+    enumerated matrix is scored.
     """
 
     max_agents: int = 4
@@ -215,6 +232,54 @@ def _slow_groups(col: tuple[int, ...], weight: list[int]) -> int:
     return sum([1 << g for g in range(1, len(sums)) if sums[g] >= 0])
 
 
+def _pickup_moves(
+    prev: tuple[int, ...], col: tuple[int, ...]
+) -> tuple[tuple[int, int, int], ...]:
+    """The group moves across the boundary from ``prev`` to ``col``: one
+    ``(movers, up, down)`` per pickup (p, d), where ``movers`` marks the
+    groups that hold d but not p, and a marked bit g also reaches
+    g - {d} + {p}, the bit ``(1 << g) << up >> down``."""
+    moves = []
+    for p, d in pickups(prev, col):
+        movers = sum([1 << g for g in range(1 << len(col)) if g >> d & 1 and not g >> p & 1])
+        shift = (1 << p) - (1 << d)
+        moves.append((movers, max(shift, 0), max(-shift, 0)))
+    return tuple(moves)
+
+
+def _relay_slow_groups(
+    rows: tuple[tuple[int, ...], ...],
+    weight: list[int],
+    slow: dict[tuple[int, ...], int],
+    moves: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, int, int], ...]],
+) -> int:
+    """Bitmask of the relay-closed groups at least as slow as the incumbent
+    in every column of ``rows``: each column's ``_slow_groups``, with the
+    reached groups closed under the boundary's pickup moves before the next
+    column's AND.  ``slow`` caches the column masks for ``weight`` and
+    ``moves`` the ``_pickup_moves`` of each column pair."""
+    groups = -1
+    prev = None
+    for col in zip(*rows):
+        if prev is not None:
+            if not groups:
+                return 0
+            step = moves.get((prev, col))
+            if step is None:
+                step = moves[prev, col] = _pickup_moves(prev, col)
+            reached = 0
+            while reached != groups:  # pickups chain within one boundary
+                reached = groups
+                for movers, up, down in step:
+                    groups |= (groups & movers) << up >> down
+        mask = slow.get(col)
+        if mask is None:
+            mask = slow[col] = _slow_groups(col, weight)
+        groups &= mask
+        prev = col
+    return groups
+
+
 def _search(
     inst: ProblemInstance, budget: EnumerationBudget, abandon_limit: int
 ) -> tuple[Fraction, Schedule]:
@@ -228,6 +293,7 @@ def _search(
     speed, scale = inst._label_speeds
     weight: list[int] = []
     slow: dict[tuple[int, ...], int] = {}  # column -> _slow_groups(column, weight)
+    moves: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, int, int], ...]] = {}
 
     best_tau: Optional[Fraction] = None
     best: Optional[Schedule] = None
@@ -238,14 +304,8 @@ def _search(
             if budget.prune:
                 if not _is_leader(rows, family.riders, relabelings):
                     continue  # its orbit's leader has the same makespan
-                if best_tau is not None:
-                    groups = -1
-                    for col in zip(*rows):
-                        if col not in slow:
-                            slow[col] = _slow_groups(col, weight)
-                        groups &= slow[col]
-                    if groups:
-                        continue  # a group is too slow in every column
+                if best_tau is not None and _relay_slow_groups(rows, weight, slow, moves):
+                    continue  # a group of relay paths is too slow in every column
             matrix = ScheduleMatrix(rows)
             x, tau = solve_partition(matrix, inst)
             if budget.prune and tau < family.bound:

@@ -6,7 +6,7 @@ must reach the brute-force optimum exactly.  The explicit examples pin the
 edge cases: equal speeds, the slowest bike exactly at the average bound, and
 pace ties, where a sub-relay's common finish, the one-abandonment bound or a
 solo split's average bound lands exactly on a bike's inverse speed.  About
-3.5 s on a 2-core machine (Python 3.11.7), most of it in the m = 4, b = 3
+3 s on a 2-core machine (Python 3.11.7), most of it in the m = 4, b = 3
 relaxed searches.
 """
 
@@ -40,8 +40,8 @@ def cases(draw):
 @settings(max_examples=80)
 @given(cases())
 # Equal speeds: the first is the relaxed search that no family bound stops,
-# 11,256 matrices below the optimum (5,646 orbit leaders, 1,615 LPs once slow
-# agent groups are skipped).
+# 11,256 matrices below the optimum (5,646 orbit leaders, 783 LPs once slow
+# groups of relay paths are skipped).
 @example((4, (F(1, 4), F(1, 4), F(4, 5))))
 @example((4, (F(1, 2), F(1, 2), F(1, 2))))
 @example((3, (F(2, 3), F(2, 3))))

@@ -20,6 +20,24 @@ from bikesched import (
 from conftest import random_full_matrix, random_instance
 
 
+def _retiring_matrix(rng, inst) -> tuple[tuple[int, ...], ...]:
+    """A random full matrix of 1 to m columns whose bikes each retire after
+    a random prefix with probability 0.3, as its rows."""
+    n = rng.randint(1, inst.agents)
+    cols = [list(col) for col in zip(*random_full_matrix(rng, inst, n).rows)]
+    for k in range(1, inst.bikes + 1):
+        if rng.random() < 0.3:
+            for col in cols[rng.randint(1, n):]:
+                col[col.index(k)] = 0
+    return tuple(zip(*cols))
+
+
+def _weight(inst, tau) -> list[int]:
+    """The search's label weights for the incumbent ``tau``."""
+    speed, scale = inst._label_speeds
+    return [tau.denominator * s - tau.numerator * scale for s in speed]
+
+
 def _count_lps(monkeypatch) -> list:
     """A list that gains one entry for every LP the oracle solves."""
     solves = []
@@ -150,11 +168,29 @@ class TestPruning:
 
     def test_group_bound_caps_the_full_search(self, monkeypatch):
         # No family bound stops this search: 11,256 matrices below the
-        # optimum, 5,646 orbit leaders, most of them outpaced by a slow group.
+        # optimum, 5,646 orbit leaders, most of them outpaced by a slow group
+        # of relay paths.
         inst = ProblemInstance(4, (F(1, 4), F(1, 4), F(4, 5)), abandonment_limit=1)
         solves = _count_lps(monkeypatch)
         assert brute_force_rbs(inst)[0] == F(19, 32)
-        assert len(solves) <= 1_615
+        assert len(solves) == 783
+
+    @pytest.mark.parametrize(
+        "us, columns",
+        [((F(1, 4), F(1, 4), F(4, 5)), None), ((F(1, 3), F(4, 7), F(3, 4)), 3)],
+    )
+    def test_relay_closure_equals_agent_groups(self, us, columns, monkeypatch):
+        # Without the pickup moves every group keeps its rows, which is the
+        # agent-group bound alone: the same answer, witness included, from
+        # strictly more LPs.
+        inst = ProblemInstance(4, us, abandonment_limit=1)
+        budget = EnumerationBudget(max_columns=columns)
+        solves = _count_lps(monkeypatch)
+        answer = brute_force_rbs(inst, budget)[:2]
+        relayed = len(solves)
+        monkeypatch.setattr(oracle, "_pickup_moves", lambda prev, col: ())
+        assert brute_force_rbs(inst, budget)[:2] == answer
+        assert len(solves) - relayed > relayed
 
     @pytest.mark.parametrize(
         "us, columns", [((F(1, 3), F(4, 7)), None), ((F(1, 3), F(4, 7), F(3, 4)), 3)]
@@ -242,19 +278,41 @@ class TestGroupBound:
         rng = random.Random(7)
         for _ in range(200):
             inst = random_instance(rng, max_agents=4, max_bikes=3)
-            m, n = inst.agents, rng.randint(1, inst.agents)
-            cols = [list(col) for col in zip(*random_full_matrix(rng, inst, n).rows)]
-            for k in range(1, inst.bikes + 1):
-                if rng.random() < 0.3:  # retire bike k after a prefix
-                    for col in cols[rng.randint(1, n):]:
-                        col[col.index(k)] = 0
+            m, cols = inst.agents, list(zip(*_retiring_matrix(rng, inst)))
             _, tau = solve_partition(ScheduleMatrix(tuple(zip(*cols))), inst)
             pace = (F(1), *inst.inverse_speeds)
-            speed, scale = inst._label_speeds
-            weight = [tau.denominator * s - tau.numerator * scale for s in speed]
-            masks = [oracle._slow_groups(tuple(col), weight) for col in cols]
+            weight = _weight(inst, tau)
+            masks = [oracle._slow_groups(col, weight) for col in cols]
             for g in range(1, 2**m):
                 group = [i for i in range(m) if g >> i & 1]
                 means = [sum(pace[col[i]] for i in group) / len(group) for col in cols]
                 assert tau >= min(means)
                 assert [bool(mask >> g & 1) for mask in masks] == [t >= tau for t in means]
+
+    def test_no_relay_group_outpaces_the_optimum(self):
+        # A relay path changes rows only where its new row picks up the bike
+        # its old row dropped, so its time stays at most its last row's
+        # finish time, and a group's mean at most tau.  With the incumbent
+        # just above tau no group is that slow in every column.  At tau
+        # itself the closure keeps every group slow in every column.
+        # First a pinned case: rows 1 and 2 keep their bikes at boundary 1,
+        # where a path leaving row 2 for row 1 would outpace tau.
+        pinned = ProblemInstance(3, (F(3, 8), F(1, 2), F(5, 6)))
+        cases = [(pinned, ((3, 0, 1), (1, 1, 0), (2, 2, 2)))]
+        rng = random.Random(11)
+        for _ in range(200):
+            inst = random_instance(rng, max_agents=4, max_bikes=3)
+            cases.append((inst, _retiring_matrix(rng, inst)))
+        gained = 0
+        for inst, rows in cases:
+            _, tau = solve_partition(ScheduleMatrix(rows), inst)
+            above = _weight(inst, tau + F(1, 10**9))
+            assert oracle._relay_slow_groups(rows, above, {}, {}) == 0
+            weight = _weight(inst, tau)
+            plain = -1
+            for col in zip(*rows):
+                plain &= oracle._slow_groups(col, weight)
+            relayed = oracle._relay_slow_groups(rows, weight, {}, {})
+            assert relayed & plain == plain
+            gained += relayed != plain
+        assert gained  # some groups are slow only by changing rows
