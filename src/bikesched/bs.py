@@ -9,16 +9,20 @@ bike arriving exactly at the end.  Interval lengths are chosen so that each
 absorbed agent meets the group precisely at an interval boundary, which makes
 everyone finish together at the average bound.
 
-Two constructions are provided: ``relay_reference`` expands every recursive
-group schedule in place (its size grows exponentially with the bike count;
-it exists for differential testing), while ``relay_schedule`` reuses one
-reduced schedule per distinct subproblem and reduces after every step, giving
-size at most m in polynomial time.  Both lay out nested columns (group
-blocks stacked on solo riders) and hand them to one splicer, ``splice``.  In
-one pass over the columns it keeps how far each row's arrival trails the row
-above it, reads each column's paces off the instance's integer speed table,
-sizes the column so that its catcher closes that gap, and expands the
-blocks; the one-abandonment schedule of ``rbs`` uses it too.
+Two constructions build the relay bottom-up, one level per bike: level k
+relays the k fastest bikes with the same walkers, spliced from levels
+0..k-1.  Only ``relay_schedule`` reduces, every level, giving size at most
+m in polynomial time.  ``relay_reference`` (for differential testing)
+expands every level in full, so its size is exponential in b, and checks
+its own partition: feasible, every agent finishing at exactly the average
+bound.  Every column carries all b bikes, so no partition beats that bound
+(weak LP duality) and this one is its matrix's LP optimum.  Both hand
+nested columns (group blocks stacked on solo riders) to one splicer,
+``splice``.  In one pass over the columns it keeps how far each row's
+arrival trails the row above it, reads each column's paces off the
+instance's integer speed table, sizes the column so that its catcher closes
+that gap, and expands the blocks; the one-abandonment schedule of ``rbs``
+uses it too.
 
 When the slowest bike lags (u_b above the average bound), ``solve_bs`` gives
 it a solo rider and solves the other m-1 agents with bikes 1..b-1, one level
@@ -50,6 +54,8 @@ from .model import (
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
+    _arrivals,
+    _violations,
     average_bound,
     verify_answer,
 )
@@ -173,59 +179,50 @@ def _build_relay(inst: ProblemInstance, blocks: Sequence[Optional[Schedule]]) ->
 
 
 def relay_reference(inst: ProblemInstance) -> Schedule:
-    """Fully expanded recursive relay; every agent finishes at the average
-    bound and every bike reaches the end.
-
-    For b >= 1 its size is 2^(b-1) * (m - b + 1): each of the b group blocks
-    recursively contains all smaller blocks.  Intended for small bike counts
-    and differential testing only; ``relay_schedule`` is the production path.
-    The partition comes from the splicer; as a cross-check, the exact LP is
-    solved once on the final matrix and must reproduce the same makespan.
-    """
-    _check_relay_precondition(inst)
-    sched = _relay_reference_impl(inst)
-    if inst.bikes:
-        from .lp import solve_partition  # local import: lp does not need bs
-
-        _, tau = solve_partition(sched.matrix, inst)
-        if tau != average_bound(inst):
-            raise ContractError("LP disagrees with the relay partition")
-    return sched
-
-
-def _relay_reference_impl(inst: ProblemInstance) -> Schedule:
-    if inst.bikes == 0:
-        return _walk_schedule(inst.agents)
-    blocks = [
-        _relay_reference_impl(inst.sub_instance(k)) if inst.sub_agents(k) > 0 else None
-        for k in range(inst.bikes)
-    ]
-    return _build_relay(inst, blocks)
-
-
-def relay_schedule(inst: ProblemInstance) -> Schedule:
-    """Relay of size <= m built bottom-up, one reduced schedule per distinct
-    subproblem.
-
-    Every subproblem keeps the same walker surplus m - b, so the k-fastest-
-    bikes subproblem on m - b + k agents is the only one ever needed at level
-    k.  Each level splices the already-reduced smaller schedules into its own
-    relay, then reduces; intermediate sizes stay below m * b.
+    """Fully expanded relay: ``relay_schedule``'s levels, none reduced, so
+    for b >= 1 its size is 2^(b-1) * (m - b + 1).  For small bike counts and
+    differential testing.  ``ContractError`` unless the spliced schedule
+    covers [0, 1], is feasible and has every agent finish at exactly the
+    average bound, which makes it optimal (module docstring).
     """
     _check_relay_precondition(inst)
     m, b = inst.agents, inst.bikes
-    if b == 0:
-        return _walk_schedule(m)
-    table: list[Optional[Schedule]] = [None] * (b + 1)
-    if m - b > 0:
-        table[0] = _walk_schedule(m - b)
+    levels: list[Optional[Schedule]] = [_walk_schedule(m - b) if m > b else None]
+    for k in range(1, b + 1):
+        levels.append(_build_relay(inst.sub_instance(k), levels))
+    sched = levels[b]
+    partial, den = _arrivals(sched, inst)
+    finish = {Fraction(row[-1], den) for row in partial}
+    if sched.length != ONE or _violations(sched.matrix, partial) or finish != {average_bound(inst)}:
+        raise ContractError("the relay partition is infeasible or misses the average bound")
+    return sched
+
+
+def _relay_levels(inst: ProblemInstance) -> list[Optional[Schedule]]:
+    """The reduced relay of ``inst.sub_instance(k)`` for k = 0..b, None
+    where that subproblem has no agents.
+
+    All levels keep the walker count m - b.  Each splices the smaller
+    reduced levels into its relay, then reduces; intermediate sizes stay
+    below m * b.  A subproblem of a relay is a relay (its slowest bike keeps
+    up whenever ``inst``'s does; module docstring), so only ``inst`` is
+    checked.
+    """
+    _check_relay_precondition(inst)
+    m, b = inst.agents, inst.bikes
+    levels: list[Optional[Schedule]] = [_walk_schedule(m - b) if m > b else None]
     for k in range(1, b + 1):
         sub = inst.sub_instance(k)
-        raw = _build_relay(sub, table[:k])
+        raw = _build_relay(sub, levels)
         if raw.size > m * b:
             raise ContractError("intermediate relay grew beyond the m*b bound")
-        table[k] = reduce_schedule(raw.matrix, sub, initial=raw.partition)
-    return table[b]
+        levels.append(reduce_schedule(raw.matrix, sub, initial=raw.partition))
+    return levels
+
+
+def relay_schedule(inst: ProblemInstance) -> Schedule:
+    """Relay of size <= m: the top level of ``_relay_levels``."""
+    return _relay_levels(inst)[-1]
 
 
 def _with_solo_row(s: Schedule, bike: int) -> Schedule:

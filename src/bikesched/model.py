@@ -87,15 +87,11 @@ class ProblemInstance:
             raise ValueError("no bikes")
         return self.inverse_speeds[-1]
 
-    def sub_agents(self, k: int) -> int:
-        """Agent count of the k-fastest-bikes subproblem (walker count fixed)."""
-        return self.agents - self.bikes + k
-
     def sub_instance(self, k: int) -> "ProblemInstance":
         """Subproblem with the k fastest bikes and the same number of walkers."""
         if not 0 <= k <= self.bikes:
             raise ValueError(f"k={k} out of range [0, {self.bikes}]")
-        return ProblemInstance(self.sub_agents(k), self.inverse_speeds[:k])
+        return ProblemInstance(self.agents - self.bikes + k, self.inverse_speeds[:k])
 
     @cached_property
     def _label_speeds(self) -> tuple[list[int], int]:

@@ -20,7 +20,6 @@ from typing import Optional
 
 from .lp import build_lp, satisfies_all_constraints, solve_partition, vertex_from_point
 from .model import (
-    ZERO,
     ContractError,
     ProblemInstance,
     Schedule,
@@ -55,7 +54,8 @@ def _sweep(
     over the dropper's old plan.  Each swap makes one more row keep its
     bike, so a column needs at most b swaps; ``ContractError`` past that.
     Returns the schedule, its report and the number of swaps that repaired
-    a picker arriving strictly early.
+    a picker arriving strictly early.  When every column has length 0 no
+    column is kept, and ``ValueError`` is raised.
     """
     m = len(rows)
     labels = [list(row) for row in rows]
@@ -93,10 +93,7 @@ def _sweep(
             reach[i] += speed[column[i]] * length[j]
 
     if not out_cols:
-        # Degenerate zero-length schedule: keep one column so the shape stays valid.
-        out_cols = [tuple([row[0] for row in rows])]
-        out_x = [ZERO]
-
+        raise ValueError("a schedule whose columns all have length 0 has no standard form")
     report = StandardFormReport(zero_removed, merged, swaps)
     return Schedule(tuple(out_x), ScheduleMatrix(tuple(zip(*out_cols)))), report, repaired
 
@@ -110,9 +107,10 @@ def standardize(
     (interval lengths summed), and equal-time handovers eliminated by swapping
     the two agents' row suffixes.  Completion times are preserved exactly.
     A schedule with a positive wait is rejected with ``ValueError``
-    (``waiting.remove_all_waits`` drains waits first).  A feasible wait-free
-    schedule has no early pickup, so ``ContractError`` is raised if the
-    sweep has to repair one.
+    (``waiting.remove_all_waits`` drains waits first), and so is one whose
+    columns all have length 0, which has no standard form.  A feasible
+    wait-free schedule has no early pickup, so ``ContractError`` is raised
+    if the sweep has to repair one.
     """
     if s.waits is not None and any(w != 0 for row in s.waits for w in row):
         raise ValueError("cannot standardize a schedule with waits")

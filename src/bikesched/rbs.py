@@ -13,6 +13,9 @@ abandoned), making the second-slowest bike's arrival the makespan.  The
 abandoning schedule only lays out its nested columns; ``bs.splice``, the
 splicer of the full-delivery relay, sizes and expands them, and
 ``normalize.reduce_schedule`` brings the result down to at most m columns.
+Its head block is the reduced relay of the q fastest bikes.  Its group
+blocks are read off one relay table, ``bs._relay_levels`` of bikes
+2..b-1 on m-1 agents, so each reduced relay level is built once.
 
 The second-slowest recursion peels one solo rider per level and is exact.
 Level j solves rest_j: m-j agents with u_1..u_{b-j-1} and u_b, limit 1.  It
@@ -47,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bs import NestedColumn, _with_solo_row, relay_schedule, solve_bs, splice
+from .bs import NestedColumn, _relay_levels, _with_solo_row, relay_schedule, solve_bs, splice
 from .model import (
     ONE,
     TIGHT_ONE_ABANDONED,
@@ -124,18 +127,19 @@ def abandon_slowest(inst: ProblemInstance) -> RbsSolution:
     group = walkers + q
     columns = [
         NestedColumn(
-            block=relay_schedule(ProblemInstance(group, u[:q])),
+            block=relay_schedule(inst.sub_instance(q)),
             tail=tuple([i - walkers + 1 for i in range(group, m)]),
         )
     ]
     # In each later column a group of g agents relays bikes 2..g-walkers and
     # absorbs the row below it; agent m, past y*, rides the fastest bike and
-    # is absorbed last.
+    # is absorbed last.  These groups are the levels of one relay on bikes
+    # 2..b-1 with one more walker: group g is its level g - walkers - 1.
+    levels = _relay_levels(ProblemInstance(m - 1, u[1 : b - 1]))
     for g in range(group, m):
-        block = relay_schedule(ProblemInstance(g, u[1 : g - walkers]))
         columns.append(
             NestedColumn(
-                block=_relabeled(block, lambda lab: lab + 1),
+                block=_relabeled(levels[g - walkers - 1], lambda lab: lab + 1),
                 tail=tuple([i - walkers + 1 for i in range(g, m - 1)]) + (1,),
             )
         )

@@ -50,7 +50,9 @@ def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
     Returns a feasible schedule in standard form with no waiting matrix, no
     larger than ``s``, whose total finish time is lower by exactly the total
     wait.  A feasible schedule with no positive wait is returned unchanged;
-    an infeasible one raises ``ValueError``, with or without waits.
+    an infeasible one raises ``ValueError``, with or without waits, and so
+    does one with waits whose columns all have length 0, which has no
+    standard form.
     """
     partial, den = _arrivals(s, inst)
     broken = _violations(s.matrix, partial)

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 import bikesched.bs as bs
+import bikesched.lp as lp
 import bikesched.rbs as rbs
 from bikesched import (
+    ContractError,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
@@ -20,10 +22,18 @@ from bikesched import (
     relay_reference,
     relay_schedule,
     solve_bs,
+    solve_partition,
     solve_rbs,
 )
 from bikesched.bs import NestedColumn, splice
 from conftest import random_instance
+
+
+def criterion_4_grid():
+    """The instances of acceptance criterion 4: m <= 7, b <= min(m - 1, 6)."""
+    for m in range(2, 8):
+        for b in range(1, min(m - 1, 6) + 1):
+            yield ProblemInstance(m, tuple(F(1, 2) + F(k, 100) for k in range(b)))
 
 
 def relay_size(m: int, b: int) -> int:
@@ -274,6 +284,58 @@ class TestRelayReference:
                 range(1, inst.bikes + 1)
             )
             assert check_feasible(sched, inst).ok
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            ProblemInstance(3, (F(1, 2), F(2, 3))),
+            ProblemInstance(5, (F(1, 2), F(51, 100), F(13, 25))),
+        ],
+        ids=lambda inst: f"m{inst.agents}b{inst.bikes}",
+    )
+    def test_checks_its_own_partition(self, inst, monkeypatch):
+        """Moving length between two columns of the top-level splice leaves
+        the matrix's LP optimum unchanged, but not the spliced answer."""
+
+        def shifted(sub, columns, _real=bs.splice):
+            out = _real(sub, columns)
+            if sub != inst:
+                return out
+            x = list(out.partition)
+            x[0], x[-1] = x[0] / 2, x[-1] + x[0] / 2
+            return Schedule(tuple(x), out.matrix)
+
+        monkeypatch.setattr(bs, "splice", shifted)
+        with pytest.raises(ContractError, match="average bound"):
+            relay_reference(inst)
+
+    def test_solves_no_lp(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("relay_reference solved an LP")
+
+        monkeypatch.setattr(lp, "solve_partition", refuse)
+        for inst in criterion_4_grid():
+            relay_reference(inst)
+
+    def test_lp_optimum_is_the_average_bound(self):
+        for inst in criterion_4_grid():
+            _, tau = solve_partition(relay_reference(inst).matrix, inst)
+            assert tau == average_bound(inst), inst
+
+
+class TestRelayLevels:
+    @pytest.mark.parametrize(
+        "m, us",
+        [(3, (F(1, 2), F(1, 2), F(1, 2))), (6, (F(1, 3), F(2, 5), F(1, 2), F(11, 20)))],
+    )
+    def test_every_level_is_the_relay_of_its_subproblem(self, m, us):
+        inst = ProblemInstance(m, us)
+        levels = bs._relay_levels(inst)
+        assert len(levels) == inst.bikes + 1
+        assert (levels[0] is None) == (m == inst.bikes)
+        for k in range(1 if m == inst.bikes else 0, inst.bikes + 1):
+            assert levels[k] == relay_schedule(inst.sub_instance(k))
+        assert levels[-1] == relay_schedule(inst)
 
 
 class TestRelaySchedule:

@@ -38,6 +38,15 @@ def problem_rbs(tmp_path):
     return p
 
 
+
+@pytest.fixture
+def problem_rbs_default(tmp_path):
+    """The relaxed problem with no abandonment limit in the file (0)."""
+    p = tmp_path / "rbs_default.json"
+    write_json(p, {"agents": 3, "speeds": ["2", "5/4"], "mode": "rbs"})
+    return p
+
+
 class TestParsing:
     def test_speeds_become_inverse(self):
         inst, mode = parse_problem({"agents": 2, "speeds": ["2", "1.25"]})
@@ -92,6 +101,17 @@ class TestSolveCommand:
         assert "bike 2 abandoned at 10/11" in printed
         data = json.loads(out.read_text())
         assert data["abandonment"]["abandoned"] == [[2, "10/11"]]
+
+    def test_mode_flag_overrides_the_file(self, problem_rbs_default, tmp_path, capsys):
+        out = tmp_path / "sched.json"
+        args = ["solve", "--in", str(problem_rbs_default), "--out", str(out), "--mode", "bs"]
+        assert main(args) == 0
+        assert "makespan 4/5 (tight bound: slowest-bike)" in capsys.readouterr().out
+
+    def test_abandon_flag_overrides_the_file(self, problem_rbs_default, tmp_path):
+        out = tmp_path / "sched.json"
+        args = ["solve", "--in", str(problem_rbs_default), "--out", str(out), "--abandon", "2"]
+        assert main(args) == 3
 
     def test_parse_error_exit_2(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -351,6 +371,18 @@ class TestRenderCommand:
 class TestOracleCommand:
     def test_oracle_rbs(self, problem_rbs, capsys):
         assert main(["oracle", "--in", str(problem_rbs)]) == 0
+        printed = capsys.readouterr().out
+        assert "optimal makespan 17/22" in printed
+        assert "bike 2 abandoned at 10/11" in printed
+
+    def test_oracle_full_delivery_by_flag(self, problem_rbs_default, capsys):
+        assert main(["oracle", "--in", str(problem_rbs_default), "--mode", "bs"]) == 0
+        printed = capsys.readouterr().out
+        assert "optimal makespan 4/5" in printed
+        assert "abandoned" not in printed
+
+    def test_abandon_flag_overrides_the_file(self, problem_rbs_default, capsys):
+        assert main(["oracle", "--in", str(problem_rbs_default), "--abandon", "1"]) == 0
         printed = capsys.readouterr().out
         assert "optimal makespan 17/22" in printed
         assert "bike 2 abandoned at 10/11" in printed

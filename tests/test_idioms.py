@@ -3,6 +3,9 @@
 No ``assert`` statement guards a contract: ``python -O`` strips them, so
 every check raises a named error instead.
 
+No function body imports a module: a local import hides a dependency
+between modules, so every import sits at the top of its module.
+
 In CPython, ``tuple(<generator>)`` cannot know its length: it allocates a
 tuple of spare slots and shrinks it at the end.  Every tuple freed later goes
 to the free list of its final size, which keeps up to 2,000 tuples per size
@@ -56,3 +59,33 @@ def test_no_assert_statement(path):
 
 def test_detector_finds_an_assert():
     assert _asserts(ast.parse("x = 1\nassert x, 'message'\n")) == [2]
+
+
+def _local_imports(tree: ast.AST) -> list[int]:
+    return sorted({
+        node.lineno
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    lines = _local_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"function-local import in {path.name} at lines {lines}"
+
+
+def test_detector_finds_a_local_import():
+    tree = ast.parse(
+        "import os\n"
+        "def f():\n"
+        "    from .lp import solve_partition\n"
+        "    def g():\n"
+        "        import json\n"
+        "class C:\n"
+        "    async def h(self):\n"
+        "        import sys\n"
+    )
+    assert _local_imports(tree) == [3, 5, 8]

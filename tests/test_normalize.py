@@ -126,6 +126,13 @@ class TestStandardize:
         assert completion_profile(remove_all_waits(sched, TWO_ONE), TWO_ONE).makespan == F(3, 4)
 
 
+    def test_zero_length_schedule_has_no_standard_form(self):
+        sched = Schedule((F(0), F(0)), ScheduleMatrix(((1, 0), (0, 1))))
+        assert check_feasible(sched, TWO_ONE).ok
+        with pytest.raises(ValueError, match="no standard form"):
+            standardize(sched, TWO_ONE)
+
+
 class TestStandardForm:
     def test_standardize_output_is_standard(self, rng):
         for _ in range(10):

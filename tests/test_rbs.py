@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import bikesched.bs as bs
 from bikesched import (
     ProblemInstance,
     Schedule,
@@ -75,6 +76,22 @@ class TestAbandonSlowest:
             assert y_star * u[-1] + (1 - y_star) * u[0] == bound
             prof = completion_profile(sol.schedule, inst)
             assert set(prof.final) == {bound}
+
+    def test_reduces_each_relay_level_once(self, monkeypatch):
+        # q = 1: the head block reduces one level and the group table (bikes
+        # 2..4 on 5 agents) three more, each level once.
+        inst = relaxed(6, (F(1, 5), F(2, 3), F(2, 3), F(2, 3), F(19, 20)))
+        assert shared_prefix(inst) == 1
+        calls = []
+
+        def spy(*args, _real=bs.reduce_schedule, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bs, "reduce_schedule", spy)
+        sol = abandon_slowest(inst)
+        assert len(calls) == shared_prefix(inst) + inst.bikes - 2 == 4
+        assert sol.certificate.tight == TIGHT_ONE_ABANDONED
 
     def test_rejects_non_lagging(self):
         with pytest.raises(ValueError):

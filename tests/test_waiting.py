@@ -84,6 +84,13 @@ class TestRemoveAllWaits:
         with pytest.raises(ValueError, match="infeasible"):
             remove_all_waits(with_wait(0, 1, F(1, 10), matrix), inst)
 
+    def test_zero_length_schedule_with_a_wait_raises(self):
+        # Agent 2 waits for agent 1's hand-over over two zero-length columns.
+        sched = with_wait(1, 0, F(1, 9), partition=(F(0), F(0)))
+        assert check_feasible(sched, TWO_ONE).ok
+        with pytest.raises(ValueError, match="no standard form"):
+            remove_all_waits(sched, TWO_ONE)
+
     def test_single_wait(self):
         out = remove_all_waits(with_wait(0, 0, F(1, 10)), TWO_ONE)
         assert out.waits is None
