@@ -36,38 +36,44 @@ reordered by their new first label, walker rows sorted) is smaller.  There
 is no makespan cache keyed by the orbit: it would solve as many LPs as the
 leader rule while holding every key it has seen.
 
-Pruning last skips every leader that some group of agents rules out.  With
-s_ij agent i's inverse speed in column j, every feasible (x, tau) and every
-nonempty agent group A satisfy tau >= mean_{i in A} t_i = sum_j x_j *
-mean_{i in A} s_ij >= min_j mean_{i in A} s_ij: weak LP duality, with
-uniform weights on A's agent rows and none on the pickup rows.  A matrix in
-which some group is at least as slow as the incumbent in every column
-cannot beat it strictly, and the search keeps only strict improvements, so
-the skip changes no makespan and no witness.  In the integer speed table,
-with the incumbent p/q, label c weighs q * speed[c] - p * scale, and a group
-is slow in a column when its weights there sum to at least 0.  Each
-distinct column's slow groups form one bitmask over the 2^m - 1 groups,
-cached until the incumbent improves.
+The leaders are generated column by column (orderly generation, after Read
+1978 and McKay 1998).  A depth-first walk visits the matrices in the order
+of ``itertools.product``, so the incumbents come as a loop over every matrix
+would find them.  It drops a column equal to the one before it and cuts a
+prefix in which two walker rows show a strict descent.  A relabeling's
+image starts with the image of the rider row whose bike gets the least new
+label: a prefix is cut when that row's image is smaller than row 0 there,
+and the relabeling is dropped once it is larger.  Only relabelings still
+tied at a leaf get the whole-matrix test.
 
-A group may also change rows along pickups, which puts weight on the pickup
-rows too.  A relay path is one row r_c per column c that changes, r_c !=
+Pruning last skips every leader that some group of relay paths rules out.
+With s_ij agent i's inverse speed in column j and S_i(c) agent i's time at
+boundary c, a relay path is one row r_c per column c that changes, r_c !=
 r_{c-1}, only where r_c picks up at boundary c the bike r_{c-1} dropped.
-With S_i(c) agent i's time at boundary c, each pickup row keeps
-S_{r_{c-1}}(c) <= S_{r_c}(c), so by induction over the columns a path's
-time sum_j s_{r_j j} x_j is at most t_{r_{n-1}} <= tau.  A group of k
-relay paths on distinct rows then has mean time at most tau, and at least
-the incumbent when its rows are slow in every column, so the skip stays
-exact.  The search walks the columns with the bitmask of groups reached:
-it ANDs in each column's slow groups and, at each boundary, closes the
-reached groups under the pickup moves -- every reached g with d in g and p
-not in g, for a pickup (p, d), also reaches g - {d} + {p} -- to a fixpoint,
-as pickups chain within one boundary.  Each column pair's moves are cached
-for the call; a matrix is skipped when the final mask is nonzero.  The
-closure only adds groups, so this skips every matrix that groups fixed to
-their rows skip, and with no pickups it is the AND of the columns' masks.
-For speeds {4, 4, 5/4} at m = 4 and limit 1, 5,646 of the 11,256 matrices
-below the optimum are orbit leaders, and 783 of them get an LP (1,615 with
-groups fixed to their rows).
+Each pickup row keeps S_{r_{c-1}}(c) <= S_{r_c}(c), so by induction over the
+columns a path's time sum_j s_{r_j j} x_j is at most t_{r_{n-1}} <= tau for
+every feasible (x, tau).  Take W >= 1 paths, c_ij of them on row i in column
+j.  Summing their times, W * tau >= sum_j x_j sum_i c_ij s_ij, and as the
+x_j are nonnegative and sum to 1, tau >= min_j sum_i c_ij s_ij / W: a
+nonnegative integer combination of paths, each of time at most tau, has
+weighted mean at most tau.  This is weak LP duality with integer weights on
+the agent and pickup rows (Chvatal 1983, ch. 5).  A matrix in which some
+group is at least as slow as the incumbent in every column cannot beat it
+strictly, and the search keeps only strict improvements, so the skip
+changes no makespan and no witness.
+
+A group puts at most K = ``_MULTIPLICITY`` paths on a row, the K of 1, 2 and
+3 that certifies the oracle grid fastest.  Bit g of a mask stands for c_i
+paths on row i, c_i the i-th base-(K + 1) digit of g.  With the incumbent
+p/q, label l weighs q * speed[l] - p * scale in the integer speed table,
+and g is slow in a column when sum_i c_i * weight[col_i] >= 0.  At each
+boundary the reached groups are closed under the pickups to a fixpoint: for
+a pickup (p, d), a reached g with c_d >= 1 and c_p < K also reaches g with
+one path moved from d to p.  The walk carries the mask of groups reached
+down its path, one closure and one AND per edge, skips a leaf whose mask is
+nonzero and does no bound work below a mask of 0.  For speeds {4, 4, 5/4}
+at m = 4 and limit 1, 5,646 of the 11,256 matrices below the optimum are
+orbit leaders, and 519 of them get an LP (783 with K = 1).
 
 The pruned and unpruned searches return identical values (property-tested);
 turn pruning off to make the search a pure exhaustive sweep.
@@ -84,6 +90,11 @@ from .lp import solve_partition
 from .model import (
     ContractError, ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector, pickups
 )
+
+
+_MULTIPLICITY = 2  # K: the most relay paths a group puts on one row
+_Column = tuple[int, ...]
+_Rows = tuple[_Column, ...]
 
 
 class BudgetExceededError(ValueError):
@@ -204,80 +215,63 @@ def _relabelings(inst: ProblemInstance) -> list[tuple[int, ...]]:
     return maps[1:]  # the first product is the identity
 
 
-def _is_leader(
-    rows: tuple[tuple[int, ...], ...], riders: int, relabelings: list[tuple[int, ...]]
-) -> bool:
-    """True when ``rows`` is the least member of its symmetry orbit: rows
-    ``riders`` onward (the first column's walkers) are non-decreasing, and
-    no relabeling's image -- rider rows ordered by their new first label,
-    walker rows sorted -- is smaller."""
-    for i in range(riders + 1, len(rows)):
-        if rows[i - 1] > rows[i]:
-            return False
-    for label in relabelings:
-        image = [tuple([label[c] for c in row]) for row in rows]
-        if tuple(sorted(image[:riders]) + sorted(image[riders:])) < rows:
-            return False
-    return True
+class _PaceBound:
+    """The relay-closed pace bound of one search: the incumbent's label
+    weights, each column's mask of slow groups under them, and each pickup's
+    group move, built the first time the walk meets it."""
 
+    def __init__(self, inst: ProblemInstance) -> None:
+        self.speed, self.scale = inst._label_speeds
+        self.weight: Optional[list[int]] = None  # no incumbent yet
+        self.slow: dict[_Column, int] = {}
+        self.moves: dict[tuple[int, int], tuple[int, int, int]] = {}
 
-def _slow_groups(col: tuple[int, ...], weight: list[int]) -> int:
-    """Bitmask of the agent groups at least as slow as the incumbent in
-    ``col``: bit g stands for the rows of g's binary digits, and it is set
-    when their weights sum to at least 0."""
-    sums = [0]
-    for label in col:
-        w = weight[label]
-        sums += [s + w for s in sums]
-    return sum([1 << g for g in range(1, len(sums)) if sums[g] >= 0])
+    def improve(self, tau: Fraction) -> None:
+        self.weight = [tau.denominator * s - tau.numerator * self.scale for s in self.speed]
+        self.slow = {}
 
-
-def _pickup_moves(
-    prev: tuple[int, ...], col: tuple[int, ...]
-) -> tuple[tuple[int, int, int], ...]:
-    """The group moves across the boundary from ``prev`` to ``col``: one
-    ``(movers, up, down)`` per pickup (p, d), where ``movers`` marks the
-    groups that hold d but not p, and a marked bit g also reaches
-    g - {d} + {p}, the bit ``(1 << g) << up >> down``."""
-    moves = []
-    for p, d in pickups(prev, col):
-        movers = sum([1 << g for g in range(1 << len(col)) if g >> d & 1 and not g >> p & 1])
-        shift = (1 << p) - (1 << d)
-        moves.append((movers, max(shift, 0), max(-shift, 0)))
-    return tuple(moves)
-
-
-def _relay_slow_groups(
-    rows: tuple[tuple[int, ...], ...],
-    weight: list[int],
-    slow: dict[tuple[int, ...], int],
-    moves: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, int, int], ...]],
-) -> int:
-    """Bitmask of the relay-closed groups at least as slow as the incumbent
-    in every column of ``rows``: each column's ``_slow_groups``, with the
-    reached groups closed under the boundary's pickup moves before the next
-    column's AND.  ``slow`` caches the column masks for ``weight`` and
-    ``moves`` the ``_pickup_moves`` of each column pair."""
-    groups = -1
-    prev = None
-    for col in zip(*rows):
-        if prev is not None:
-            if not groups:
-                return 0
-            step = moves.get((prev, col))
-            if step is None:
-                step = moves[prev, col] = _pickup_moves(prev, col)
-            reached = 0
-            while reached != groups:  # pickups chain within one boundary
-                reached = groups
-                for movers, up, down in step:
-                    groups |= (groups & movers) << up >> down
-        mask = slow.get(col)
+    def mask(self, col: _Column) -> int:
+        """Bitmask of the groups at least as slow as the incumbent in ``col``:
+        bit g, with c_i the i-th base-(K + 1) digit of g, is set when sum_i
+        c_i * weight[col[i]] >= 0."""
+        mask = self.slow.get(col)
         if mask is None:
-            mask = slow[col] = _slow_groups(col, weight)
-        groups &= mask
-        prev = col
-    return groups
+            sums = [0]
+            for w in [self.weight[label] for label in col]:
+                sums = [s + k * w for k in range(_MULTIPLICITY + 1) for s in sums]
+            bits = "".join(["0" if s < 0 else "1" for s in reversed(sums)])
+            mask = self.slow[col] = int(bits, 2) & -2
+        return mask
+
+    def close(self, groups: int, prev: Optional[_Column], col: _Column) -> int:
+        """``groups`` closed under the pickups from ``prev`` to ``col`` to a
+        fixpoint.  Pickup (p, d) moves the groups ``movers`` marks, those
+        with a path on d and fewer than K on p: bit g also reaches the bit
+        ``(1 << g) << up >> down``, with one path moved from d to p."""
+        moves = []
+        for p, d in pickups(prev, col) if prev is not None else ():
+            move = self.moves.get((p, d))
+            if move is None:
+                base = _MULTIPLICITY + 1
+                movers = sum([1 << g for g in range(base ** len(col))
+                              if g // base**d % base and g // base**p % base < _MULTIPLICITY])
+                shift = base**p - base**d
+                move = self.moves[p, d] = (movers, max(shift, 0), max(-shift, 0))
+            moves.append(move)
+        reached = 0
+        while reached != groups:  # pickups chain within one boundary
+            reached = groups
+            for movers, up, down in moves:
+                groups |= (groups & movers) << up >> down
+        return groups
+
+    def reach(self, cols: list[_Column]) -> int:
+        """The groups slow in every column of ``cols``: none before an incumbent."""
+        groups = 0 if self.weight is None else -1
+        for j, col in enumerate(cols):
+            if groups:
+                groups = self.close(groups, cols[j - 1] if j else None, col) & self.mask(col)
+        return groups
 
 
 def _search(
@@ -289,23 +283,15 @@ def _search(
     if budget.prune:
         families.sort(key=lambda f: (f.bound, f.n, f.prefixes))
     relabelings = _relabelings(inst)
-    placements: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    speed, scale = inst._label_speeds
-    weight: list[int] = []
-    slow: dict[tuple[int, ...], int] = {}  # column -> _slow_groups(column, weight)
-    moves: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[tuple[int, int, int], ...]] = {}
+    pace = _PaceBound(inst) if budget.prune else None
+    placements: dict[_Column, list[_Column]] = {}
 
     best_tau: Optional[Fraction] = None
     best: Optional[Schedule] = None
     for family in families:
         if budget.prune and best_tau is not None and family.bound >= best_tau:
             break  # families are bound-sorted: nothing later can win
-        for rows in _family_matrices(inst, family, placements):
-            if budget.prune:
-                if not _is_leader(rows, family.riders, relabelings):
-                    continue  # its orbit's leader has the same makespan
-                if best_tau is not None and _relay_slow_groups(rows, weight, slow, moves):
-                    continue  # a group of relay paths is too slow in every column
+        for rows in _walk(inst, family, relabelings, pace, placements):
             matrix = ScheduleMatrix(rows)
             x, tau = solve_partition(matrix, inst)
             if budget.prune and tau < family.bound:
@@ -313,46 +299,70 @@ def _search(
             if best_tau is None or tau < best_tau:
                 best_tau = tau
                 best = Schedule(x, matrix)
-                p, q = best_tau.numerator, best_tau.denominator
-                weight = [q * s - p * scale for s in speed]
-                slow.clear()
-                if budget.prune and best_tau <= family.bound:
-                    break  # this family cannot do strictly better
+                if pace is not None:
+                    pace.improve(best_tau)
+                    if best_tau <= family.bound:
+                        break  # this family cannot do strictly better
     return best_tau, best
 
 
-def _family_matrices(
-    inst: ProblemInstance,
-    family: _Family,
-    placements: dict[tuple[int, ...], list[tuple[int, ...]]],
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every matrix of ``family`` as its tuple of rows."""
-    m = inst.agents
-    retired = dict(family.prefixes)
-    choice_lists = []
+def _walk(
+    inst: ProblemInstance, family: _Family, relabelings: list[_Column],
+    pace: Optional[_PaceBound], placements: dict[_Column, list[_Column]],
+) -> Iterator[_Rows]:
+    """Every matrix of ``family`` but those with a repeated column, as rows,
+    in ``itertools.product`` order over each column's choices: the canonical
+    first column, then every placement of the active bikes (cached per
+    active set in ``placements``).  With a ``pace`` bound (pruning on), only
+    the orbit leaders that no group of relay paths rules out; the caller may
+    improve its incumbent between yields."""
+    m, riders, retired = inst.agents, family.riders, dict(family.prefixes)
+    choices = []
     for c in range(family.n):
-        active = tuple([
-            k
-            for k in range(1, inst.bikes + 1)
-            if k not in retired or retired[k] > c
-        ])
+        active = tuple([k for k in range(1, inst.bikes + 1) if retired.get(k, family.n) > c])
         if active not in placements:
-            cols = []
-            for rows in itertools.permutations(range(m), len(active)):
-                col = [0] * m
-                for bike, row in zip(active, rows):
-                    col[row] = bike
-                cols.append(tuple(col))
-            placements[active] = cols
-        if c == 0:
-            # Canonical first column kills agent-relabeling symmetry.
-            col = [0] * m
-            for row, bike in enumerate(active):
-                col[row] = bike
-            choice_lists.append([tuple(col)])
-        else:
-            choice_lists.append(placements[active])
-    for combo in itertools.product(*choice_lists):
-        if any(combo[c] == combo[c - 1] for c in range(1, family.n)):
-            continue  # a merged duplicate column is enumerated at n - 1
-        yield tuple(zip(*combo))
+            placements[active] = [
+                tuple([active[rows.index(i)] if i in rows else 0 for i in range(m)])
+                for rows in itertools.permutations(range(m), len(active))
+            ]
+        choices.append(placements[active] if c else [(*active, *[0] * (m - len(active)))])
+    first, pairs, maps = choices[0][0], (), []
+    if pace is not None:
+        pairs = tuple(range(riders + 1, len(first)))  # walker rows i - 1 and i
+        if riders:  # each relabeling with the rider row whose image leads
+            maps = [(a, min(range(riders), key=lambda i: a[first[i]])) for a in relabelings]
+    return _extend(choices, riders, pace, [], pairs, maps, pace.reach([]) if pace else 0)
+
+
+def _extend(
+    choices: list[list[_Column]], riders: int, pace: Optional[_PaceBound], path: list[_Column],
+    pairs: tuple[int, ...], maps: list[tuple[_Column, int]], groups: int,
+) -> Iterator[_Rows]:
+    """The matrices of ``_walk`` that start with the columns ``path``, whose
+    walker row ``pairs`` are still equal, whose relabelings ``maps`` still
+    map their rider row onto row 0, and which reach ``groups``."""
+    prev = path[-1] if path else None
+    weight = pace.weight if pace else None
+    for col in choices[len(path)]:
+        if col == prev:
+            continue  # the merged matrix is enumerated with one column fewer
+        if any([col[i - 1] > col[i] for i in pairs]):
+            continue  # a walker row descent: no leader below
+        if any([a[col[i]] < col[0] for a, i in maps]):
+            continue  # a smaller image: no leader below
+        if pace is not None and pace.weight is not weight:
+            weight, groups = pace.weight, pace.reach(path)  # the incumbent improved
+        still = tuple([i for i in pairs if col[i - 1] == col[i]])
+        tied = [(a, i) for a, i in maps if a[col[i]] == col[0]]
+        if len(path) + 1 < len(choices):
+            reached = groups and pace.close(groups, prev, col) & pace.mask(col)
+            yield from _extend(choices, riders, pace, [*path, col], still, tied, reached)
+            continue
+        if groups:  # the closure only adds groups: try without it first
+            mask = pace.mask(col)
+            if groups & mask or mask and pace.close(groups, prev, col) & mask:
+                continue  # a group of relay paths is too slow in every column
+        rows = tuple(zip(*path, col))
+        images = [[tuple([a[c] for c in row]) for row in rows] for a, _ in tied]
+        if all([tuple(sorted(im[:riders]) + sorted(im[riders:])) >= rows for im in images]):
+            yield rows

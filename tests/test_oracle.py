@@ -32,10 +32,61 @@ def _retiring_matrix(rng, inst) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*cols))
 
 
-def _weight(inst, tau) -> list[int]:
-    """The search's label weights for the incumbent ``tau``."""
-    speed, scale = inst._label_speeds
-    return [tau.denominator * s - tau.numerator * scale for s in speed]
+def _pace(inst, tau) -> "oracle._PaceBound":
+    """The search's pace bound with incumbent ``tau``."""
+    pace = oracle._PaceBound(inst)
+    pace.improve(tau)
+    return pace
+
+
+def _reference_matrices(inst, family):
+    """Every matrix of ``family`` as its rows, by ``itertools.product`` over
+    its column choices, less those with a repeated column: the order and
+    the matrices the walk must reproduce.  The first column is canonical,
+    bike k of its active set on row k - 1; each later column places the
+    bikes still ridden on distinct rows."""
+    m, retired = inst.agents, dict(family.prefixes)
+    choices = []
+    for c in range(family.n):
+        active = [k for k in range(1, inst.bikes + 1) if k not in retired or retired[k] > c]
+        cols = []
+        for rows in itertools.permutations(range(m), len(active)):
+            col = [0] * m
+            for bike, row in zip(active, rows):
+                col[row] = bike
+            cols.append(tuple(col))
+        choices.append(cols if c else [tuple(active + [0] * (m - len(active)))])
+    for combo in itertools.product(*choices):
+        if all(combo[c] != combo[c - 1] for c in range(1, len(combo))):
+            yield tuple(zip(*combo))
+
+
+def _is_leader(rows, riders, relabelings) -> bool:
+    """The orbit leader test on one whole matrix: the first column's walker
+    rows are non-decreasing and no relabeling's image (rider rows ordered
+    by their new first label, walker rows sorted) is smaller."""
+    walkers = rows[riders:]
+    if any(a > b for a, b in zip(walkers, walkers[1:])):
+        return False
+    for label in relabelings:
+        image = [tuple([label[c] for c in row]) for row in rows]
+        if tuple(sorted(image[:riders]) + sorted(image[riders:])) < rows:
+            return False
+    return True
+
+
+def _scored(inst, pace, leaves) -> list:
+    """Every matrix ``leaves`` yields, each scored by its LP as the search
+    does: a strictly better makespan becomes ``pace``'s incumbent before the
+    next matrix is drawn."""
+    scored, best = [], None
+    for rows in leaves:
+        scored.append(rows)
+        _, tau = solve_partition(ScheduleMatrix(rows), inst)
+        if best is None or tau < best:
+            best = tau
+            pace.improve(tau)
+    return scored
 
 
 def _count_lps(monkeypatch) -> list:
@@ -111,6 +162,19 @@ class TestBruteForceRbs:
         assert sum(1 for y in usage if y < 1) <= 2
 
 
+# Searches where the orbit skip bites, as (m, us, abandonment limit, columns).
+ORBIT_CASES = [
+    # Two equal speeds and two first-column walkers: both skips bite.
+    *[(4, (F(1, 2), F(1, 2)), limit, None) for limit in (0, 1, 2)],
+    # One bike, three walkers: only the walker order bites.
+    *[(4, (F(1, 3),), limit, None) for limit in (0, 1)],
+    # Three equal speeds; two equal and a lagging bike.
+    *[(4, (F(3, 4),) * 3, limit, 3) for limit in (0, 1, 2)],
+    *[(4, (F(1, 4), F(1, 4), F(4, 5)), limit, 3) for limit in (1, 2)],
+    *[(3, (F(1, 4), F(1, 4), F(4, 5)), limit, None) for limit in (1, 2)],
+]
+
+
 class TestPruning:
     def test_pruned_equals_exhaustive(self):
         grid = [F(4, 5), F(1, 2), F(2, 3)]
@@ -128,32 +192,10 @@ class TestPruning:
                 brute_force_rbs(inst, fast)[0] == brute_force_rbs(inst, slow)[0]
             )
 
-    @pytest.mark.parametrize(
-        "m, us, limit, columns",
-        [
-            # Two equal speeds and two first-column walkers: both skips bite.
-            *[(4, (F(1, 2), F(1, 2)), limit, None) for limit in (0, 1, 2)],
-            # One bike, three walkers: only the walker order bites.
-            *[(4, (F(1, 3),), limit, None) for limit in (0, 1)],
-            # Three equal speeds; two equal and a lagging bike.
-            *[(4, (F(3, 4),) * 3, limit, 3) for limit in (0, 1, 2)],
-            *[(4, (F(1, 4), F(1, 4), F(4, 5)), limit, 3) for limit in (1, 2)],
-            *[(3, (F(1, 4), F(1, 4), F(4, 5)), limit, None) for limit in (1, 2)],
-        ],
-    )
+    @pytest.mark.parametrize("m, us, limit, columns", ORBIT_CASES)
     def test_orbit_skip_equals_exhaustive(self, m, us, limit, columns, monkeypatch):
         inst = ProblemInstance(m, us, abandonment_limit=limit)
-        skipped = []
-        leader = oracle._is_leader
-
-        def spy(rows, riders, relabelings):
-            kept = leader(rows, riders, relabelings)
-            skipped.append(not kept)
-            return kept
-
-        monkeypatch.setattr(oracle, "_is_leader", spy)
         tau, witness, _ = brute_force_rbs(inst, EnumerationBudget(max_columns=columns))
-        assert any(skipped)
         # Without pruning every enumerated matrix gets its LP.
         solves = _count_lps(monkeypatch)
         slow = EnumerationBudget(max_columns=columns, prune=False)
@@ -161,34 +203,60 @@ class TestPruning:
         assert len(solves) == sum(
             1
             for family in oracle._families(inst, limit, columns or m)
-            for _ in oracle._family_matrices(inst, family, {})
+            for _ in _reference_matrices(inst, family)
         )
         assert check_feasible(witness, inst).ok
         assert completion_profile(witness, inst).makespan == tau
 
+    @pytest.mark.parametrize("m, us, limit, columns", ORBIT_CASES)
+    def test_walk_yields_the_reference_leaders(self, m, us, limit, columns):
+        # The walk cuts prefixes and carries the relay groups down its path.
+        # A loop over every matrix of itertools.product must meet the same
+        # matrices in the same order: all of them without pruning, the
+        # orbit leaders with it, and, when each scored matrix may improve
+        # the incumbent, the leaders that no group of relay paths rules out.
+        inst = ProblemInstance(m, us, abandonment_limit=limit)
+        relabelings = oracle._relabelings(inst)
+        skipped = 0
+        for family in oracle._families(inst, limit, columns or m):
+            matrices = list(_reference_matrices(inst, family))
+            assert list(oracle._walk(inst, family, relabelings, None, {})) == matrices
+            leaders = [rows for rows in matrices if _is_leader(rows, family.riders, relabelings)]
+            pace = oracle._PaceBound(inst)
+            assert list(oracle._walk(inst, family, relabelings, pace, {})) == leaders
+            skipped += len(matrices) - len(leaders)
+            walked = _scored(inst, pace, oracle._walk(inst, family, relabelings, pace, {}))
+            looped_pace = oracle._PaceBound(inst)
+            looped = _scored(inst, looped_pace, (
+                rows for rows in leaders
+                if looped_pace.weight is None or not looped_pace.reach(list(zip(*rows)))
+            ))
+            assert walked == looped
+        assert skipped
+
     def test_group_bound_caps_the_full_search(self, monkeypatch):
         # No family bound stops this search: 11,256 matrices below the
         # optimum, 5,646 orbit leaders, most of them outpaced by a slow group
-        # of relay paths.
+        # of relay paths (783 LPs with at most one path per row).
         inst = ProblemInstance(4, (F(1, 4), F(1, 4), F(4, 5)), abandonment_limit=1)
         solves = _count_lps(monkeypatch)
         assert brute_force_rbs(inst)[0] == F(19, 32)
-        assert len(solves) == 783
+        assert len(solves) == 519
 
     @pytest.mark.parametrize(
         "us, columns",
         [((F(1, 4), F(1, 4), F(4, 5)), None), ((F(1, 3), F(4, 7), F(3, 4)), 3)],
     )
     def test_relay_closure_equals_agent_groups(self, us, columns, monkeypatch):
-        # Without the pickup moves every group keeps its rows, which is the
-        # agent-group bound alone: the same answer, witness included, from
-        # strictly more LPs.
+        # Without the pickups every group keeps its rows, which is the pace
+        # bound of weighted agent groups alone: the same answer, witness
+        # included, from strictly more LPs.
         inst = ProblemInstance(4, us, abandonment_limit=1)
         budget = EnumerationBudget(max_columns=columns)
         solves = _count_lps(monkeypatch)
         answer = brute_force_rbs(inst, budget)[:2]
         relayed = len(solves)
-        monkeypatch.setattr(oracle, "_pickup_moves", lambda prev, col: ())
+        monkeypatch.setattr(oracle, "pickups", lambda prev, col: [])
         assert brute_force_rbs(inst, budget)[:2] == answer
         assert len(solves) - relayed > relayed
 
@@ -203,7 +271,7 @@ class TestPruning:
         solves = _count_lps(monkeypatch)
         tau, witness, _ = brute_force_rbs(inst, budget)
         bounded = len(solves)
-        monkeypatch.setattr(oracle, "_slow_groups", lambda col, weight: 0)  # no group is slow
+        monkeypatch.setattr(oracle._PaceBound, "mask", lambda self, col: 0)  # no group is slow
         assert brute_force_rbs(inst, budget)[:2] == (tau, witness)
         unbounded = len(solves) - bounded
         assert 2 * bounded < unbounded
@@ -213,11 +281,12 @@ class TestPruning:
         assert completion_profile(witness, inst).makespan == tau
 
     def test_one_leader_per_orbit(self):
-        # Every matrix of every family is enumerated.  Two matrices lie in
-        # one orbit exactly when some equal-speed relabeling and some row
-        # permutation map one onto the other, so the least sorted-row tuple
-        # over the relabelings names the orbit.  The families below the
-        # optimum 19/32 are those the pruned search visits.
+        # Every matrix of every family is enumerated, and the walk yields
+        # one leader per orbit.  Two matrices lie in one orbit exactly when
+        # some equal-speed relabeling and some row permutation map one onto
+        # the other, so the least sorted-row tuple over the relabelings
+        # names the orbit.  The families below the optimum 19/32 are those
+        # the pruned search visits.
         us = (F(1, 4), F(1, 4), F(4, 5))
         inst = ProblemInstance(4, us, abandonment_limit=1)
         maps = [
@@ -232,9 +301,10 @@ class TestPruning:
             for family in oracle._families(inst, 1, 4):
                 if below and family.bound >= F(19, 32):
                     continue
-                for rows in oracle._family_matrices(inst, family, {}):
+                walk = oracle._walk(inst, family, relabelings, oracle._PaceBound(inst), {})
+                leaders += sum(1 for _ in walk)
+                for rows in _reference_matrices(inst, family):
                     matrices += 1
-                    leaders += oracle._is_leader(rows, family.riders, relabelings)
                     keys.add(min(
                         tuple(sorted([tuple([label[c] for c in row]) for row in rows]))
                         for label in maps
@@ -271,32 +341,36 @@ class TestPruning:
 
 class TestGroupBound:
     def test_makespan_is_at_least_every_group_pace(self):
-        # Weak duality with uniform weights on an agent group A and none on
-        # the pickup rows: tau >= mean_{i in A} t_i >= A's least column mean
-        # pace.  The search's bitmask marks exactly the groups whose mean
-        # pace in a column is at least a given tau.
+        # Weak duality with integer weights c_i <= K on the agent rows and
+        # none on the pickup rows: tau >= sum_i c_i t_i / sum_i c_i >= the
+        # least column's weighted mean pace.  The search's bitmask marks
+        # exactly the weights whose mean pace in a column is at least a
+        # given tau.
+        base = oracle._MULTIPLICITY + 1
         rng = random.Random(7)
         for _ in range(200):
             inst = random_instance(rng, max_agents=4, max_bikes=3)
             m, cols = inst.agents, list(zip(*_retiring_matrix(rng, inst)))
             _, tau = solve_partition(ScheduleMatrix(tuple(zip(*cols))), inst)
+            bound = _pace(inst, tau)
+            masks = [bound.mask(col) for col in cols]
             pace = (F(1), *inst.inverse_speeds)
-            weight = _weight(inst, tau)
-            masks = [oracle._slow_groups(col, weight) for col in cols]
-            for g in range(1, 2**m):
-                group = [i for i in range(m) if g >> i & 1]
-                means = [sum(pace[col[i]] for i in group) / len(group) for col in cols]
-                assert tau >= min(means)
-                assert [bool(mask >> g & 1) for mask in masks] == [t >= tau for t in means]
+            for g in range(1, base**m):
+                c = [g // base**i % base for i in range(m)]
+                paces = [sum([c[i] * pace[col[i]] for i in range(m)]) for col in cols]
+                assert tau * sum(c) >= min(paces)
+                assert [bool(mask >> g & 1) for mask in masks] == [
+                    p >= tau * sum(c) for p in paces
+                ]
 
     def test_no_relay_group_outpaces_the_optimum(self):
         # A relay path changes rows only where its new row picks up the bike
         # its old row dropped, so its time stays at most its last row's
-        # finish time, and a group's mean at most tau.  With the incumbent
-        # just above tau no group is that slow in every column.  At tau
-        # itself the closure keeps every group slow in every column.
-        # First a pinned case: rows 1 and 2 keep their bikes at boundary 1,
-        # where a path leaving row 2 for row 1 would outpace tau.
+        # finish time, and the mean of a multiset of paths at most tau.
+        # With the incumbent just above tau no group is that slow in every
+        # column.  At tau itself the closure keeps every group slow in every
+        # column.  First a pinned case: rows 1 and 2 keep their bikes at
+        # boundary 1, where a path leaving row 2 for row 1 would outpace tau.
         pinned = ProblemInstance(3, (F(3, 8), F(1, 2), F(5, 6)))
         cases = [(pinned, ((3, 0, 1), (1, 1, 0), (2, 2, 2)))]
         rng = random.Random(11)
@@ -306,13 +380,12 @@ class TestGroupBound:
         gained = 0
         for inst, rows in cases:
             _, tau = solve_partition(ScheduleMatrix(rows), inst)
-            above = _weight(inst, tau + F(1, 10**9))
-            assert oracle._relay_slow_groups(rows, above, {}, {}) == 0
-            weight = _weight(inst, tau)
+            assert _pace(inst, tau + F(1, 10**9)).reach(list(zip(*rows))) == 0
+            pace = _pace(inst, tau)
             plain = -1
             for col in zip(*rows):
-                plain &= oracle._slow_groups(col, weight)
-            relayed = oracle._relay_slow_groups(rows, weight, {}, {})
+                plain &= pace.mask(col)
+            relayed = pace.reach(list(zip(*rows)))
             assert relayed & plain == plain
             gained += relayed != plain
         assert gained  # some groups are slow only by changing rows
