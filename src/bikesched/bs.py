@@ -41,12 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
 from .model import (
     ONE,
-    ZERO,
     TIGHT_AVERAGE,
     TIGHT_SLOWEST,
     BoundCertificate,
@@ -55,6 +55,8 @@ from .model import (
     Schedule,
     ScheduleMatrix,
     _arrivals,
+    _fractions,
+    _integral,
     _violations,
     average_bound,
     verify_answer,
@@ -79,34 +81,44 @@ def splice(inst: ProblemInstance, columns: Sequence[NestedColumn]) -> Schedule:
     at the end of its host column, then expand them.
 
     Labels in blocks and tails are bike labels of ``inst``; paces come from
-    its integer speed table, whose scale cancels in gap / rate.  A tail row
-    moves at its label's pace.  Every block is a length-1 relay whose agents
-    all tie, so each block row moves at the block's common finish time, read
-    off its first row.  One pass keeps how far each row's arrival so far
-    trails the row above it, ``lag``; rows at the pace of the row above keep
-    their lag.  The first column gets length 1.  In every later column the
-    catcher is the first tail row on a bike; its lag (the gap) closes at the
-    pace difference inside the column (the rate), so the column's length is
-    gap / rate.  A later column with no bike in its tail, or whose catcher is
-    row 0 (no row ahead of it), raises ``ValueError``.  A zero rate with a
-    zero gap leaves the length free (taken as 0); with a positive gap the
-    catcher can never close it here, so every earlier column collapses to
-    zero and this one gets length 1.  The lengths are scaled to sum to 1,
-    and a block of n' columns replaces its host with n' columns carrying the
-    host's tail rows, its partition scaled by the host's length.
+    its integer speed table.  A tail row moves at its label's pace.  Every
+    block is a length-1 relay whose agents all tie, so each block row moves
+    at the block's common finish time, read off its first row.  One pass
+    keeps how far each row's arrival so far trails the row above it,
+    ``lag``; rows at the pace of the row above keep their lag.  The first
+    column gets length 1.  In every later column the catcher is the first
+    tail row on a bike; its lag (the gap) closes at the pace difference
+    inside the column (the rate), so the column's length is gap / rate.  A
+    later column with no bike in its tail, or whose catcher is row 0 (no row
+    ahead of it), raises ``ValueError``.  A zero rate with a zero gap leaves
+    the length free (taken as 0); with a positive gap the catcher can never
+    close it here, so every earlier column collapses to zero and this one
+    gets length 1.  The lengths are scaled to sum to 1, and a block of n'
+    columns replaces its host with n' columns carrying the host's tail rows,
+    its partition scaled by the host's length.
+
+    All of it runs on ints.  Each block's partition is taken over its own
+    lcm, and every pace over the speed table's scale times ``unit``, the
+    lcm of those denominators.  Lengths are ints over a common scale that
+    only the final normalization reads: when gap / rate is no integer of
+    it, every length and lag is multiplied up by the rate's reduced
+    denominator.  A Fraction is built only for the returned partition.
     """
     speed, _ = inst._label_speeds
-    z: list[Fraction] = []
-    lag: list[Fraction] = []
-    for col in columns:
-        pace = [speed[label] for label in col.tail]
-        block = col.block
+    blocks = [None if col.block is None else _integral(col.block.partition) for col in columns]
+    unit = lcm(*[den for _x, den in filter(None, blocks)])
+    z: list[int] = []
+    lag: list[int] = []
+    z_den = 1  # z[c] / z_den is the length relative to the first column
+    for col, block in zip(columns, blocks):
+        pace = [speed[label] * unit for label in col.tail]
         if block is not None:
-            row = [speed[label] for label in block.matrix.rows[0]]
-            pace = [sum(map(mul, block.partition, row), ZERO)] * block.agents + pace
+            x, den = block
+            row = [speed[label] for label in col.block.matrix.rows[0]]
+            pace = [sum(map(mul, x, row)) * (unit // den)] * col.block.agents + pace
         if not z:
-            lag = [ZERO] * len(pace)
-            length = ONE
+            lag = [0] * len(pace)
+            length = 1
         elif len(pace) != len(lag):
             raise ValueError("inconsistent block + tail heights")
         else:
@@ -119,31 +131,37 @@ def splice(inst: ProblemInstance, columns: Sequence[NestedColumn]) -> Schedule:
             gap = lag[catcher]
             rate = pace[catcher - 1] - pace[catcher]
             if rate:
-                length = gap / rate
+                g = gcd(gap, rate) if rate > 0 else -gcd(gap, rate)
+                length, grow = gap // g, rate // g
                 if length < 0:
-                    raise ContractError(f"negative interval length {length} at {len(z)}")
+                    raise ContractError(
+                        f"negative interval length {Fraction(length, z_den * grow)} at {len(z)}"
+                    )
+                if grow > 1:
+                    z = [a * grow for a in z]
+                    lag = [a * grow for a in lag]
+                    z_den *= grow
             elif gap:
-                z = [ZERO] * len(z)
-                lag = [ZERO] * len(lag)
-                length = ONE
+                z = [0] * len(z)
+                lag = [0] * len(lag)
+                z_den = length = 1
             else:
-                length = ZERO
+                length = 0
         z.append(length)
         if length:
-            for i in range(1, len(pace)):
-                if pace[i] != pace[i - 1]:
-                    lag[i] += length * (pace[i] - pace[i - 1])
-    total = sum(z, ZERO)
-    xs: list[Fraction] = []
+            lag = [a + length * (p - q) for a, p, q in zip(lag, pace, [pace[0], *pace])]
+    xs: list[int] = []
     out_cols: list[tuple[int, ...]] = []
-    for length, col in zip(z, columns):
-        if col.block is None:
-            xs.append(length / total)
+    for length, col, block in zip(z, columns, blocks):
+        if block is None:
+            xs.append(length * unit)
             out_cols.append(col.tail)
         else:
-            xs.extend(length / total * x for x in col.block.partition)
+            x, den = block
+            f = length * (unit // den)
+            xs.extend([f * a for a in x])
             out_cols.extend(sub + col.tail for sub in col.block.matrix.columns())
-    return Schedule(tuple(xs), ScheduleMatrix(tuple(zip(*out_cols))))
+    return Schedule(_fractions(xs, sum(z) * unit), ScheduleMatrix(tuple(zip(*out_cols))))
 
 
 def _check_relay_precondition(inst: ProblemInstance) -> None:
@@ -152,6 +170,11 @@ def _check_relay_precondition(inst: ProblemInstance) -> None:
             f"slowest bike (u={inst.slowest}) is slower than the average bound "
             f"{average_bound(inst)}; no full-delivery relay exists"
         )
+
+
+def _covers_unit(s: Schedule) -> bool:
+    x, den = _integral(s.partition)
+    return sum(x) == den
 
 
 def _walk_schedule(agents: int) -> Schedule:
@@ -171,7 +194,7 @@ def _build_relay(inst: ProblemInstance, blocks: Sequence[Optional[Schedule]]) ->
     for mk, block in enumerate(blocks, start=walkers):
         if (block is None) != (mk == 0):
             raise ValueError("need one group schedule per non-empty block")
-        if block is not None and (block.agents != mk or block.length != 1):
+        if block is not None and (block.agents != mk or not _covers_unit(block)):
             raise ValueError("group schedule has the wrong shape")
         tail = tuple([i - walkers + 1 for i in range(mk, m)])
         cols.append(NestedColumn(tail=tail, block=block))
@@ -192,8 +215,12 @@ def relay_reference(inst: ProblemInstance) -> Schedule:
         levels.append(_build_relay(inst.sub_instance(k), levels))
     sched = levels[b]
     partial, den = _arrivals(sched, inst)
-    finish = {Fraction(row[-1], den) for row in partial}
-    if sched.length != ONE or _violations(sched.matrix, partial) or finish != {average_bound(inst)}:
+    t = average_bound(inst)
+    if (
+        not _covers_unit(sched)
+        or _violations(sched.matrix, partial)
+        or any(row[-1] * t.denominator != t.numerator * den for row in partial)
+    ):
         raise ContractError("the relay partition is infeasible or misses the average bound")
     return sched
 

@@ -59,6 +59,7 @@ from .model import (
     ContractError,
     ProblemInstance,
     ScheduleMatrix,
+    _fractions,
     _integral,
     handovers,
     structural_violations,
@@ -168,13 +169,20 @@ def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     tight.append([1] * (n - 1) + [-1, 0])
     tight.append([last - c for c in s[a][: n - 1]] + [-last, -1])
     slots = [*range(n - 1), n, n + 1 + a]
-    return _walk(lp, (tight, [1] * n + [scale], list(range(n + 1)), slots), state, scale)
+    echelon = (tight, [1] * n + [scale], list(range(n + 1)), slots)
+    return _answer(*_walk(lp, echelon, state, scale))
+
+
+def _answer(v: list[int], den: int) -> tuple[tuple[Fraction, ...], Fraction]:
+    """An integer point ``(x, tau)`` over ``den`` as Fractions."""
+    return _fractions(v[:-1], den), Fraction(v[-1], den)
 
 
 def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
     """Step ``state`` (x, tau, then every ``row_values`` row, ints over
     ``den``) along edges of the feasible region until no step lowers tau,
-    and return that vertex's ``(x, tau)`` as Fractions."""
+    and return that vertex's ``(x, tau)`` as ints over its denominator,
+    and the denominator."""
     n = lp.n
     width = n + 1
     tight, heads, pivots, free = echelon
@@ -187,7 +195,7 @@ def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
             # w_sum never does: along it the point scales and tau >= 0 grows.
             rising = [k for k, c in enumerate(tight[n]) if c > 0]
             if not rising:
-                return tuple([Fraction(a, den) for a in state[:n]]), Fraction(state[n], den)
+                return state[:width], den
             k = min(rising, key=free.__getitem__)
         # Slot k rises at rate ``scale`` and every other slot stays put; a
         # free column is its own variable, and each row gives its pivot's.
@@ -287,7 +295,12 @@ def vertex_from_point(
     every round: the size argument only needs vertex-ness, not
     re-optimization.
     """
-    v, den = _integral((*x, tau))
+    return _answer(*_slide(lp, *_integral((*x, tau))))
+
+
+def _slide(lp: PartitionLP, v: list[int], den: int) -> tuple[list[int], int]:
+    """``vertex_from_point`` on ints: the point ``v`` = (x, tau) over
+    ``den`` slides to a vertex, returned the same way."""
     return _walk(lp, *_tight_echelon(lp, v), den)
 
 
@@ -347,8 +360,12 @@ def satisfies_all_constraints(
     lp: PartitionLP, x: tuple[Fraction, ...], tau: Fraction
 ) -> bool:
     """Exact feasibility of ``(x, tau)`` for the full constraint system."""
-    if len(x) != lp.n:
+    return _satisfies(lp, *_integral((*x, tau)))
+
+
+def _satisfies(lp: PartitionLP, v: list[int], den: int) -> bool:
+    """``satisfies_all_constraints`` of the point ``v`` = (x, tau) over ``den``."""
+    if len(v) != lp.n + 1:
         return False
-    v, den = _integral((*x, tau))
-    x_ints = v[: lp.n]
-    return min(x_ints) >= 0 and sum(x_ints) == den and min(lp.row_values(v)) >= 0
+    x = v[: lp.n]
+    return min(x) >= 0 and sum(x) == den and min(lp.row_values(v)) >= 0

@@ -8,9 +8,13 @@ labels (0 = walk) saying who rides what in each sub-interval, optionally with
 an m x n matrix of waiting times spent at the end of each sub-interval.
 
 All arithmetic is exact rational arithmetic; every equality test below is
-exact, with no tolerances.  Every check compares arrival times as ints over
-one common denominator (``_arrivals``); ``completion_profile`` returns them
-as ``Fraction``.
+exact, with no tolerances.  ``Fraction`` is the boundary type: instances,
+schedules, bounds and every public answer hold Fractions.  Inside, a check
+or a solve reads a partition as int numerators over one common denominator
+(``_integral``) and the inverse speeds off the instance's integer speed
+table (``ProblemInstance._label_speeds``), compares arrival times as ints
+over one denominator (``_arrivals``), and builds a Fraction only for what
+it returns.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ class ContractError(RuntimeError):
 
 
 def _as_fractions(values: Iterable[RationalLike]) -> tuple[Fraction, ...]:
-    return tuple([to_fraction(v) for v in values])
+    return tuple([v if type(v) is Fraction else to_fraction(v) for v in values])
 
 
 @dataclass(frozen=True)
@@ -165,7 +169,7 @@ class Schedule:
                 f"{self.matrix.size} columns"
             )
         for x in part:
-            if x < 0:
+            if x.numerator < 0:
                 raise ValueError(f"negative interval length {x}")
         if self.waits is not None:
             waits = tuple([_as_fractions(r) for r in self.waits])
@@ -176,7 +180,7 @@ class Schedule:
                 raise ValueError("waiting matrix shape does not match schedule")
             for r in waits:
                 for w in r:
-                    if w < 0:
+                    if w.numerator < 0:
                         raise ValueError(f"negative waiting time {w}")
 
     @property
@@ -259,6 +263,12 @@ def _integral(values) -> tuple[list[int], int]:
     """Fractions as integer numerators over their least common denominator."""
     den = lcm(*{q.denominator for q in values})
     return [q.numerator * (den // q.denominator) for q in values], den
+
+
+def _fractions(ints, den: int) -> tuple[Fraction, ...]:
+    """Integer numerators over one denominator as Fractions, the boundary
+    form of every partition."""
+    return tuple([Fraction(a, den) for a in ints])
 
 
 def _arrivals(s: Schedule, inst: ProblemInstance) -> tuple[list[list[int]], int]:
@@ -372,7 +382,8 @@ def verify_answer(
     ``cert.value``, and reports as ``abandoned`` exactly the ``(bike,
     position)`` pairs of the bikes ridden less than the whole interval, no
     more of them than the instance's abandonment limit."""
-    if s.length != ONE:
+    x, x_den = _integral(s.partition)
+    if sum(x) != x_den:
         raise ContractError(f"solver answer covers length {s.length}, not 1")
     partial, den = _arrivals(s, inst)
     broken = _violations(s.matrix, partial)
@@ -380,15 +391,26 @@ def verify_answer(
         raise ContractError(f"solver answer is infeasible: {broken}")
     if s.size > inst.agents:
         raise ContractError(f"solver answer has {s.size} columns > {inst.agents} agents")
-    makespan = Fraction(max([row[-1] for row in partial]), den)
-    if makespan != cert.value:
-        raise ContractError(f"makespan {makespan} is not the {cert.tight} bound")
-    usage = abandonment_vector(s, inst)
-    left = tuple([(bike, y) for bike, y in enumerate(usage, start=1) if y < ONE])
+    last = max([row[-1] for row in partial])
+    if last * cert.value.denominator != cert.value.numerator * den:
+        raise ContractError(f"makespan {Fraction(last, den)} is not the {cert.tight} bound")
+    usage = _usage(s.matrix, x, inst.bikes)
+    left = tuple([(bike, Fraction(y, x_den)) for bike, y in enumerate(usage, 1) if y < x_den])
     if abandoned != left or len(left) > inst.abandonment_limit:
         raise ContractError(
-            f"abandoned {abandoned} (limit {inst.abandonment_limit}), usage {usage}"
+            f"abandoned {abandoned} (limit {inst.abandonment_limit}), "
+            f"usage {_fractions(usage, x_den)}"
         )
+
+
+def _usage(matrix: ScheduleMatrix, x: Sequence[int], bikes: int) -> list[int]:
+    """How far each bike is ridden, over the denominator of the integer
+    lengths ``x``."""
+    totals = [0] * (bikes + 1)
+    for row in matrix.rows:
+        for label, a in zip(row, x):
+            totals[label] += a
+    return totals[1:]
 
 
 def abandonment_vector(s: Schedule, inst: ProblemInstance) -> tuple[Fraction, ...]:
@@ -396,12 +418,14 @@ def abandonment_vector(s: Schedule, inst: ProblemInstance) -> tuple[Fraction, ..
     abandoned at that position."""
     if s.matrix.max_label() > inst.bikes:
         raise ValueError("matrix labels exceed the instance's bike count")
-    totals = [ZERO] * inst.bikes
-    for j in range(s.size):
-        for label in s.matrix.column(j):
-            if label != 0:
-                totals[label - 1] += s.partition[j]
-    return tuple(totals)
+    x, den = _integral(s.partition)
+    return _fractions(_usage(s.matrix, x, inst.bikes), den)
+
+
+def _average_numerator(speed: Sequence[int], den: int, agents: int, k: int) -> int:
+    """The average bound of ``agents`` agents with the k fastest bikes of the
+    speed table ``(speed, den)``, times ``agents * den``."""
+    return agents * den - sum([den - s for s in speed[1 : k + 1]])
 
 
 def average_bound(
@@ -412,21 +436,21 @@ def average_bound(
     Summing every agent's travel time and dividing by m gives a bound the
     best schedule can at most match: 1 - (1/m) * sum_k (1 - u_k) * y_k, where
     y_k is the distance bike k is ridden.  With ``usage`` omitted every bike
-    is assumed to ride the whole interval (the full-delivery bound).
+    is assumed to ride the whole interval (the full-delivery bound), read
+    off the integer speed table.
     """
+    m = inst.agents
     if usage is None:
-        y = (ONE,) * inst.bikes
-    else:
-        y = _as_fractions(usage)
-        if len(y) != inst.bikes:
-            raise ValueError(
-                f"usage vector has {len(y)} entries for {inst.bikes} bikes"
-            )
-        for yk in y:
-            if not ZERO <= yk <= ONE:
-                raise ValueError(f"usage {yk} outside [0, 1]")
+        speed, den = inst._label_speeds
+        return Fraction(_average_numerator(speed, den, m, inst.bikes), m * den)
+    y = _as_fractions(usage)
+    if len(y) != inst.bikes:
+        raise ValueError(f"usage vector has {len(y)} entries for {inst.bikes} bikes")
+    for yk in y:
+        if not ZERO <= yk <= ONE:
+            raise ValueError(f"usage {yk} outside [0, 1]")
     saved = sum(((ONE - uk) * yk for uk, yk in zip(inst.inverse_speeds, y)), ZERO)
-    return ONE - saved / inst.agents
+    return ONE - saved / m
 
 
 def one_abandonment_bound(inst: ProblemInstance) -> tuple[Fraction, Fraction]:
@@ -438,16 +462,20 @@ def one_abandonment_bound(inst: ProblemInstance) -> tuple[Fraction, Fraction]:
     agent's own time y*u_b + (1-y)*u_1, which rises.  If the slowest bike is
     not a bottleneck (u_b <= full-delivery bound) the full-delivery bound is
     returned with y_star = 1.
+
+    Over the integer speed table (s_k = den * u_k), with A the average bound
+    ignoring the slowest bike times m * den, y_star = (A - m s_1) / (m (s_b -
+    s_1) + den - s_b), whose denominator is positive as s_b < den.
     """
-    if inst.bikes == 0:
+    b = inst.bikes
+    if b == 0:
         raise ValueError("bound requires at least one bike")
-    full = average_bound(inst)
-    u = inst.inverse_speeds
-    u1, ub = u[0], u[-1]
-    if ub <= full:
-        return full, ONE
-    head = average_bound(
-        ProblemInstance(inst.agents, u[:-1])
-    )  # average bound ignoring the slowest bike entirely
-    y_star = (head - u1) / (ub - u1 + (ONE - ub) / inst.agents)
-    return u1 + y_star * (ub - u1), y_star
+    m = inst.agents
+    speed, den = inst._label_speeds
+    full = _average_numerator(speed, den, m, b)
+    s1, sb = speed[1], speed[b]
+    if m * sb <= full:
+        return Fraction(full, m * den), ONE
+    rise = m * (sb - s1) + den - sb
+    num = _average_numerator(speed, den, m, b - 1) - m * s1
+    return Fraction(s1 * rise + num * (sb - s1), rise * den), Fraction(num, rise)

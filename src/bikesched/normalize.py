@@ -3,8 +3,8 @@
 A feasible schedule is in *standard form* when it has no zero-length columns,
 no two consecutive identical columns, and no handover happening at exactly
 equal arrival times (a "swap-switch", removable by swapping the two agents'
-remaining schedules).  One left-to-right column sweep on integer arrival
-times, ``_sweep``, builds it for ``standardize`` (feasible wait-free
+remaining schedules).  One left-to-right column sweep on integer lengths
+and arrival times, ``_sweep``, builds it for ``standardize`` (feasible wait-free
 schedules, every completion time kept), ``reduce_schedule`` and
 ``waiting.remove_all_waits`` (schedules whose waits it drops).
 ``reduce_schedule`` alternates sweeps, of its input and then of each LP
@@ -16,15 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .lp import build_lp, satisfies_all_constraints, solve_partition, vertex_from_point
+from .lp import _satisfies, _slide, build_lp, solve_partition
 from .model import (
     ContractError,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
     _arrivals,
+    _fractions,
     _integral,
     _violations,
     check_feasible,
@@ -41,33 +42,34 @@ class StandardFormReport:
 
 
 def _sweep(
-    partition: tuple[Fraction, ...], rows: tuple[tuple[int, ...], ...], inst: ProblemInstance
-) -> tuple[Schedule, StandardFormReport, int]:
-    """Rebuild the wait-free schedule ``(partition, rows)`` in standard form.
+    x: Sequence[int], rows: tuple[tuple[int, ...], ...], inst: ProblemInstance
+) -> tuple[list[int], ScheduleMatrix, StandardFormReport, int]:
+    """Rebuild the wait-free schedule ``(x, rows)`` in standard form, its
+    lengths ``x`` ints over any one denominator.
 
     Walks the columns keeping each row's wait-free arrival ``reach`` as an
-    int (inverse speeds and lengths over their common denominators), deletes
+    int (inverse speeds over their lcm times the lengths), deletes
     zero-length columns and merges a column into an identical last kept
     one.  Against the last kept column, while some picker (in picker
     order) would arrive no later than its dropper, the two rows' label
     suffixes are swapped: the dropper keeps its bike and the picker takes
     over the dropper's old plan.  Each swap makes one more row keep its
     bike, so a column needs at most b swaps; ``ContractError`` past that.
-    Returns the schedule, its report and the number of swaps that repaired
-    a picker arriving strictly early.  When every column has length 0 no
-    column is kept, and ``ValueError`` is raised.
+    Returns the kept lengths over the same denominator, their matrix, the
+    report and the number of swaps that repaired a picker arriving
+    strictly early.  When every column has length 0 no column is kept, and
+    ``ValueError`` is raised.
     """
     m = len(rows)
     labels = [list(row) for row in rows]
     out_cols: list[tuple[int, ...]] = []
-    out_x: list[Fraction] = []
+    out_x: list[int] = []
     speed, _ = inst._label_speeds  # by label; 0 walks
-    length, _ = _integral(partition)
     reach = [0] * m  # arrival through the columns kept so far
     zero_removed = merged = swaps = repaired = 0
 
-    for j, x in enumerate(partition):
-        if x == 0:
+    for j, a in enumerate(x):
+        if not a:
             zero_removed += 1
             continue
         column = tuple([row[j] for row in labels])
@@ -85,17 +87,17 @@ def _sweep(
             raise ContractError(f"column {j + 1} needed more than {inst.bikes} swaps")
         if out_cols and column == out_cols[-1]:
             merged += 1
-            out_x[-1] += x
+            out_x[-1] += a
         else:
             out_cols.append(column)
-            out_x.append(x)
+            out_x.append(a)
         for i in range(m):
-            reach[i] += speed[column[i]] * length[j]
+            reach[i] += speed[column[i]] * a
 
     if not out_cols:
         raise ValueError("a schedule whose columns all have length 0 has no standard form")
     report = StandardFormReport(zero_removed, merged, swaps)
-    return Schedule(tuple(out_x), ScheduleMatrix(tuple(zip(*out_cols)))), report, repaired
+    return out_x, ScheduleMatrix(tuple(zip(*out_cols))), report, repaired
 
 
 def standardize(
@@ -117,10 +119,11 @@ def standardize(
     broken = check_feasible(s, inst).violations
     if broken:
         raise ValueError(f"cannot standardize an infeasible schedule: {broken}")
-    result, report, repaired = _sweep(s.partition, s.matrix.rows, inst)
+    x, den = _integral(s.partition)
+    x, matrix, report, repaired = _sweep(x, s.matrix.rows, inst)
     if repaired:
         raise ContractError(f"standardizing repaired {repaired} early pickups")
-    return result, report
+    return Schedule(_fractions(x, den), matrix), report
 
 
 def is_standard_form(s: Schedule, inst: ProblemInstance) -> bool:
@@ -150,14 +153,15 @@ def reduce_schedule(
 
     Reads the input's feasibility and makespan off one integer arrival
     profile.  Then it alternates the standard-form sweep with sliding the
-    partition to a vertex of equal or better makespan
-    (``vertex_from_point``), until the sweep of a vertex reports all zero:
-    the vertex schedule was already in standard form.  At a vertex, a
+    partition to a vertex of equal or better makespan (``lp._slide``, the
+    integer ``vertex_from_point``), until the sweep of a vertex reports all
+    zero: the vertex schedule was already in standard form.  At a vertex, a
     schedule larger than the agent count always has a zero column or an
     equal-time handover, so each round strictly shrinks either the size or
     the handover count; the loop terminates, in standard form, at size <=
     agents, never increasing the makespan.  Each round checks its vertex
-    against its own LP, in the LP's integers.
+    against its own LP.  The rounds carry the point (x, tau) as ints over
+    one denominator; Fractions are built once, for the answer.
 
     ``initial`` is a feasible partition the caller already knows to be
     optimal for the matrix (the solvers build such partitions directly).
@@ -171,28 +175,32 @@ def reduce_schedule(
     broken = _violations(matrix, partial)
     if broken:
         raise ValueError(f"cannot reduce an infeasible schedule: {broken}")
-    x, best_tau = start.partition, Fraction(max([row[-1] for row in partial]), den)
+    # The point (x, tau) over one denominator: the arrival profile's, which
+    # is the speed scale times the partition's.
+    x, x_den = _integral(start.partition)
+    scale = den // x_den
+    x, tau = [a * scale for a in x], max([row[-1] for row in partial])
     lp = prev_measure = None
     while True:
         # The input, then each vertex: at a vertex some agent row is tight, so
         # tau is the makespan, and the sweep keeps every completion time.
-        swept, report, repaired = _sweep(x, matrix.rows, inst)
+        swept, swept_matrix, report, repaired = _sweep(x, matrix.rows, inst)
         if repaired:
             raise ContractError(f"the sweep repaired {repaired} early pickups")
         if lp is not None:
             if report == StandardFormReport(0, 0, 0):
                 if lp.n > inst.agents:
                     raise ContractError(f"reduced schedule has size {lp.n} > {inst.agents} agents")
-                return Schedule(x, matrix)
+                return Schedule(_fractions(x, den), matrix)
             measure = (lp.n, len(lp.switches))
             if prev_measure is not None and measure >= prev_measure:
                 raise ContractError("reduction stopped making progress")
             prev_measure = measure
-        x, matrix = swept.partition, swept.matrix
+        matrix = swept_matrix
         lp = build_lp(matrix, inst)
-        x, tau = vertex_from_point(lp, x, best_tau)
-        if not satisfies_all_constraints(lp, x, tau):
+        v, v_den = _slide(lp, swept + [tau], den)
+        if not _satisfies(lp, v, v_den):
             raise ContractError("the vertex leaves the feasible region")
-        if tau > best_tau:
+        if v[-1] * den > tau * v_den:
             raise ContractError("reduction increased the makespan")
-        best_tau = tau
+        x, tau, den = v[:-1], v[-1], v_den

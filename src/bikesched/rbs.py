@@ -59,6 +59,7 @@ from .model import (
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
+    _average_numerator,
     abandonment_vector,
     average_bound,
     one_abandonment_bound,
@@ -84,10 +85,14 @@ class RbsSolution:
 
 def shared_prefix(inst: ProblemInstance) -> int:
     """Largest q such that the q fastest bikes can be relayed by m-b+q agents
-    at their average bound (i.e. u_q is not a bottleneck in that subproblem)."""
+    at their average bound (i.e. u_q is not a bottleneck in that subproblem),
+    read off the instance's integer speed table."""
+    speed, den = inst._label_speeds
+    walkers = inst.agents - inst.bikes
     best = 0
     for q in range(1, inst.bikes + 1):
-        if inst.inverse_speeds[q - 1] <= average_bound(inst.sub_instance(q)):
+        agents = walkers + q
+        if agents * speed[q] <= _average_numerator(speed, den, agents, q):
             best = q
     if best == 0:
         raise ValueError("no shareable prefix; invalid instance")

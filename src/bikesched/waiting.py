@@ -40,7 +40,15 @@ has no such pickup, riding it keeps the invariant.  Three results follow:
 
 from __future__ import annotations
 
-from .model import ContractError, ProblemInstance, Schedule, _arrivals, _violations
+from .model import (
+    ContractError,
+    ProblemInstance,
+    Schedule,
+    _arrivals,
+    _fractions,
+    _integral,
+    _violations,
+)
 from .normalize import _sweep
 
 
@@ -60,7 +68,9 @@ def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
         raise ValueError(f"cannot remove waits from an infeasible schedule: {broken}")
     if s.waits is None or all(w == 0 for row in s.waits for w in row):
         return s
-    result, _, _ = _sweep(s.partition, s.matrix.rows, inst)
+    x, x_den = _integral(s.partition)
+    x, matrix, _, _ = _sweep(x, s.matrix.rows, inst)
+    result = Schedule(_fractions(x, x_den), matrix)
     out, out_den = _arrivals(result, inst)
     if max([row[-1] for row in out]) * den > max([row[-1] for row in partial]) * out_den:
         raise ContractError("wait removal increased the makespan")

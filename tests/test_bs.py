@@ -19,6 +19,7 @@ from bikesched import (
     brute_force_bs,
     check_feasible,
     completion_profile,
+    one_abandonment_bound,
     relay_reference,
     relay_schedule,
     solve_bs,
@@ -86,6 +87,124 @@ def reference_splice(inst, columns, branches=None):
             xs.extend(length / total * x for x in col.block.partition)
             out_cols.extend(sub + col.tail for sub in col.block.matrix.columns())
     return Schedule(tuple(xs), ScheduleMatrix(tuple(zip(*out_cols))))
+
+
+def fraction_splice(inst, columns, branches=None):
+    """The one-pass ``splice`` computed in ``Fraction`` lengths and lags:
+    the reference for the integer splice.  ``branches`` counts the rate
+    cases met."""
+    speed, _ = inst._label_speeds
+    z, lag = [], []
+    for col in columns:
+        pace = [speed[label] for label in col.tail]
+        block = col.block
+        if block is not None:
+            row = [speed[label] for label in block.matrix.rows[0]]
+            pace = [sum(x * p for x, p in zip(block.partition, row))] * block.agents + pace
+        if not z:
+            lag = [F(0)] * len(pace)
+            length = F(1)
+        else:
+            assert len(pace) == len(lag)
+            rider = next(i for i, label in enumerate(col.tail) if label)
+            catcher = len(pace) - len(col.tail) + rider
+            assert catcher > 0
+            gap = lag[catcher]
+            rate = pace[catcher - 1] - pace[catcher]
+            if rate:
+                length = gap / rate
+                assert length >= 0
+            elif gap:
+                z = [F(0)] * len(z)
+                lag = [F(0)] * len(lag)
+                length = F(1)
+            else:
+                length = F(0)
+            if branches is not None:
+                branches["rate" if rate else "collapse" if gap else "tie"] += 1
+        z.append(length)
+        if length:
+            for i in range(1, len(pace)):
+                if pace[i] != pace[i - 1]:
+                    lag[i] += length * (pace[i] - pace[i - 1])
+    total = sum(z)
+    xs, out_cols = [], []
+    for length, col in zip(z, columns):
+        if col.block is None:
+            xs.append(length / total)
+            out_cols.append(col.tail)
+        else:
+            xs.extend(length / total * x for x in col.block.partition)
+            out_cols.extend(sub + col.tail for sub in col.block.matrix.columns())
+    return Schedule(tuple(xs), ScheduleMatrix(tuple(zip(*out_cols))))
+
+
+class TestIntegerSplice:
+    """The integer ``splice`` gives the very Schedule of ``fraction_splice``
+    on every column list the solvers splice."""
+
+    @staticmethod
+    def spliced(monkeypatch, instances, solve):
+        calls = []
+
+        def spy(inst, columns):
+            out = splice(inst, columns)
+            calls.append((inst, list(columns), out))
+            return out
+
+        monkeypatch.setattr(bs, "splice", spy)
+        monkeypatch.setattr(rbs, "splice", spy)
+        for inst in instances:
+            solve(inst)
+        branches = Counter()
+        for inst, columns, out in calls:
+            assert out == fraction_splice(inst, columns, branches)
+        return len(calls), branches
+
+    def test_criterion_4_grid(self, monkeypatch):
+        def both(inst):
+            relay_reference(inst)
+            solve_bs(inst)
+
+        calls, _ = self.spliced(monkeypatch, criterion_4_grid(), both)
+        assert calls > 100
+
+    def test_random_relay_families(self, monkeypatch):
+        rng = random.Random(0x1F7)
+        relays = [random_instance(rng, max_agents=7) for _ in range(120)]
+        relays = [i for i in relays if i.bikes and i.slowest <= average_bound(i)]
+        calls, branches = self.spliced(monkeypatch, relays, relay_reference)
+        assert len(relays) > 30 and branches["rate"] > 100
+
+    def test_abandon_slowest_columns(self, monkeypatch):
+        rng = random.Random(0xAB)
+        relaxed = [random_instance(rng, max_agents=8, limit=1) for _ in range(200)]
+        lagging = []
+        for inst in relaxed:
+            u = inst.inverse_speeds
+            if inst.bikes >= 2 and inst.slowest > average_bound(inst):
+                if u[-2] <= one_abandonment_bound(inst)[0]:
+                    lagging.append(inst)
+        calls, _ = self.spliced(monkeypatch, lagging, rbs.abandon_slowest)
+        assert len(lagging) > 20 and calls > len(lagging)
+
+    def test_equal_speeds_reach_both_zero_rate_branches(self, monkeypatch):
+        # Equal speeds tie the block's pace with its tail's, which leaves a
+        # zero gap's length at 0.  With the slowest bike slowed to exactly
+        # the average bound, u_b = 1 - (b - 1)(1 - u) / (m - 1), a positive
+        # gap collapses what came before.
+        equal, at_bound = [], []
+        for m in range(2, 8):
+            for b in range(1, m + 1):
+                for u in (F(1, 2), F(2, 3), F(3, 4), F(1, 5)):
+                    equal.append(ProblemInstance(m, (u,) * b))
+                    slowest = 1 - (b - 1) * (1 - u) / (m - 1)
+                    if b > 1 and u <= slowest < 1:
+                        at_bound.append(ProblemInstance(m, (u,) * (b - 1) + (slowest,)))
+        assert all(inst.slowest == average_bound(inst) for inst in at_bound)
+        relays = [inst for inst in equal if inst.slowest <= average_bound(inst)] + at_bound
+        _, branches = self.spliced(monkeypatch, relays, relay_reference)
+        assert branches["tie"] > 10 and branches["collapse"] > 10, branches
 
 
 class TestUnexpandedPartition:

@@ -133,6 +133,13 @@ class TestSolveCommand:
         write_json(p, {"agents": 2, "speeds": ["Infinity"], "mode": "bs"})
         assert main(["solve", "--in", str(p), "--out", str(tmp_path / "x.json")]) == 2
 
+    @pytest.mark.parametrize("speed", ["1e-2000000", "0." + "1" * 100000])
+    def test_oversized_decimal_speed_exit_2(self, tmp_path, capsys, speed):
+        p = tmp_path / "huge.json"
+        write_json(p, {"agents": 2, "speeds": [speed], "mode": "bs"})
+        assert main(["solve", "--in", str(p), "--out", str(tmp_path / "x.json")]) == 2
+        assert "digits" in capsys.readouterr().err
+
     def test_unsupported_limit_exit_3(self, tmp_path):
         p = tmp_path / "l2.json"
         write_json(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,9 +19,11 @@ from bikesched import (
     completion_profile,
     is_standard_form,
     one_abandonment_bound,
+    solve_rbs,
 )
 from bikesched.lp import LPContractError
 from bikesched.model import TIGHT_AVERAGE, _arrivals, verify_answer
+from bikesched.rbs import shared_prefix
 from conftest import (
     fraction_arrivals,
     random_feasible_schedule,
@@ -525,3 +528,112 @@ class TestScheduleLowerBounds:
             )
             x, tau = solve_partition(matrix, inst)
             assert tau >= bound
+
+
+def fraction_average_bound(inst):
+    return 1 - sum(1 - u for u in inst.inverse_speeds) / inst.agents
+
+
+def fraction_one_abandonment_bound(inst):
+    u, m = inst.inverse_speeds, inst.agents
+    full = fraction_average_bound(inst)
+    if u[-1] <= full:
+        return full, F(1)
+    head = fraction_average_bound(ProblemInstance(m, u[:-1]))
+    y_star = (head - u[0]) / (u[-1] - u[0] + (1 - u[-1]) / m)
+    return u[0] + y_star * (u[-1] - u[0]), y_star
+
+
+def fraction_shared_prefix(inst):
+    return max(
+        q
+        for q in range(1, inst.bikes + 1)
+        if inst.inverse_speeds[q - 1] <= fraction_average_bound(inst.sub_instance(q))
+    )
+
+
+def fraction_usage(sched, inst):
+    totals = [F(0)] * inst.bikes
+    for j, col in enumerate(sched.matrix.columns()):
+        for label in col:
+            if label:
+                totals[label - 1] += sched.partition[j]
+    return tuple(totals)
+
+
+def fraction_verdict(sched, inst, cert, abandoned):
+    """Whether ``verify_answer`` should accept, read off Fraction arrivals."""
+    final = [row[-1] for row in fraction_arrivals(sched, inst)]
+    usage = fraction_usage(sched, inst)
+    left = tuple((bike, y) for bike, y in enumerate(usage, start=1) if y < 1)
+    return (
+        sum(sched.partition) == 1
+        and check_feasible(sched, inst).ok
+        and sched.size <= inst.agents
+        and max(final) == cert.value
+        and abandoned == left
+        and len(left) <= inst.abandonment_limit
+    )
+
+
+def edge_instances():
+    """Equal speeds, and the slowest bike exactly at the average bound."""
+    for m in range(1, 7):
+        for b in range(1, m + 1):
+            for u in (F(1, 2), F(2, 3), F(1, 7)):
+                yield ProblemInstance(m, (u,) * b, abandonment_limit=1)
+                slowest = 1 - (b - 1) * (1 - u) / (m - 1) if m > 1 else None
+                if b > 1 and u <= slowest < 1:
+                    yield ProblemInstance(m, (u,) * (b - 1) + (slowest,), abandonment_limit=1)
+
+
+class TestIntegerBounds:
+    """The bounds and the bike usage, read off the integer speed table and
+    integer lengths, against their Fraction formulas."""
+
+    @staticmethod
+    def corpus():
+        rng = random.Random(0xB0)
+        randoms = [random_instance(rng, max_agents=9, limit=1) for _ in range(300)]
+        return randoms + list(edge_instances())
+
+    def test_edge_cases_are_in_the_corpus(self):
+        edges = list(edge_instances())
+        assert sum(inst.slowest == average_bound(inst) and inst.agents > inst.bikes
+                   for inst in edges) > 10
+        assert sum(len(set(inst.inverse_speeds)) == 1 for inst in edges) > 30
+
+    def test_bounds_match_fraction_formulas(self):
+        for inst in self.corpus():
+            assert average_bound(inst) == fraction_average_bound(inst), inst
+            if inst.bikes:
+                expected = fraction_one_abandonment_bound(inst)
+                assert one_abandonment_bound(inst) == expected, inst
+                assert shared_prefix(inst) == fraction_shared_prefix(inst), inst
+
+    def test_usage_and_verdicts_match_fraction_reading(self):
+        rng = random.Random(0xB1)
+        verdicts = set()
+        for inst in self.corpus()[::3]:
+            sol = solve_rbs(inst)
+            sched, cert = sol.schedule, sol.certificate
+            assert abandonment_vector(sched, inst) == fraction_usage(sched, inst)
+            half = Schedule(tuple(x / 2 for x in sched.partition), sched.matrix)
+            wrong = replace(cert, value=cert.value + F(1, 10**6))
+            variants = [
+                (sched, cert, sol.abandoned),
+                (sched, wrong, sol.abandoned),
+                (sched, cert, ((1, F(1, 2)),)),
+                (half, replace(cert, value=completion_profile(half, inst).makespan), ()),
+                (random_feasible_schedule(rng, inst), cert, ()),
+            ]
+            for s, c, abandoned in variants:
+                expected = fraction_verdict(s, inst, c, abandoned)
+                try:
+                    verify_answer(s, inst, c, abandoned)
+                    accepted = True
+                except ContractError:
+                    accepted = False
+                assert accepted == expected, (inst, s, c, abandoned)
+                verdicts.add(expected)
+        assert verdicts == {True, False}

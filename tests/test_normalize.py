@@ -231,11 +231,11 @@ class TestReduce:
         # every constraint it hit on the way.
         import bikesched.normalize as nz
 
-        def overshoot(lp, x, tau, _real=nz.vertex_from_point):
-            vx, vtau = _real(lp, x, tau)
-            return tuple([2 * a - b for a, b in zip(vx, x)]), 2 * vtau - tau
+        def overshoot(lp, v, den, _real=nz._slide):
+            w, w_den = _real(lp, v, den)
+            return [2 * a * den - b * w_den for a, b in zip(w, v)], den * w_den
 
-        monkeypatch.setattr(nz, "vertex_from_point", overshoot)
+        monkeypatch.setattr(nz, "_slide", overshoot)
         relay = ScheduleMatrix(((1, 1, 0), (2, 0, 1), (0, 2, 2)))
         pair = ProblemInstance(3, (F(1, 2), F(2, 3)))
         x, _ = solve_partition(relay, pair)

@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,3 +35,25 @@ def test_to_fraction_rejects(raw):
 def test_format_round_trip():
     for q in [Fraction(3, 4), Fraction(5), Fraction(-7, 2), Fraction(0)]:
         assert to_fraction(format_fraction(q)) == q
+
+
+@pytest.mark.parametrize(
+    "raw", ["1e-2000000", "0." + "1" * 100000, "1e4300", "1e-4300", "9" * 4301 + ".5"]
+)
+def test_to_fraction_bounds_a_decimal_literal(raw):
+    # The int-string limit that refuses a long "p/q" literal bounds a
+    # decimal's numerator and denominator too, before any conversion.
+    limit = sys.get_int_max_str_digits()
+    start = time.process_time()
+    with pytest.raises(ValueError, match=f"limit of {limit}"):
+        to_fraction(raw)
+    assert time.process_time() - start < 0.5
+
+
+def test_to_fraction_decimal_at_the_limit():
+    # 10**limit has one digit too many in either form.
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError):
+        to_fraction("1/1" + "0" * limit)
+    assert to_fraction(f"1e-{limit - 1}") == Fraction(1, 10 ** (limit - 1))
+    assert to_fraction(f"1e{limit - 1}") == 10 ** (limit - 1)
