@@ -14,10 +14,13 @@ moves along an edge until the nearest blocker, the first in state order on
 a tie, meets its constraint:
 
 - **Slide.**  While the echelon of working rows leaves a free column, the
-  step keeps them tight and cannot raise tau, and every blocker joins the
-  echelon, so at most n + 1 steps reach a vertex.  ``vertex_from_point``
-  slides from the rows tight at its point and stops at a vertex, where its
-  echelon has no slots left.
+  step keeps them tight and moves along the first free column, down unless
+  that raises tau, and every blocker joins the echelon, so at most n + 1
+  steps reach a vertex.  Down, a free x_j is a blocker itself, so a step
+  can end at a zero column, which the reduction's next sweep deletes, in
+  place of a tight pickup row: an equal-time handover, whose repair leaves
+  a point to slide again.  ``vertex_from_point`` slides from the rows tight
+  at its point and stops at a vertex, where its echelon has no slots left.
 - **Exchange.**  ``solve_lp``'s echelon writes x and tau over the working
   rows' slacks w (w_j = x_j, w_sum = sum x).  The walk relaxes the
   lowest-id slack whose rise lowers tau, and the blocker's slack takes its
@@ -132,9 +135,18 @@ def build_lp(matrix: ScheduleMatrix, inst: ProblemInstance) -> PartitionLP:
         raise ValueError(f"no partition makes this matrix feasible: {broken}")
     if matrix.max_label() > inst.bikes:
         raise ValueError(f"bike label {matrix.max_label()} out of range [0, {inst.bikes}]")
+    return _partition_lp(matrix, inst, handovers(matrix))
+
+
+def _partition_lp(
+    matrix: ScheduleMatrix, inst: ProblemInstance, switches: tuple[tuple[int, int, int], ...]
+) -> PartitionLP:
+    """``build_lp`` of a matrix that passes its checks, given its
+    ``handovers``: the reduction's sweep keeps a feasible matrix well formed
+    and finds them as it goes."""
     speed, scale = inst._label_speeds
     speeds = tuple([tuple([speed[c] for c in r]) for r in matrix.rows])
-    return PartitionLP(matrix.size, speeds, scale, handovers(matrix))
+    return PartitionLP(matrix.size, speeds, scale, switches)
 
 
 def solve_partition(
@@ -205,7 +217,9 @@ def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
             d[free[0]] = scale
         for row, h, col in zip(tight, heads, pivots):
             d[col] = -row[k] * (scale // h)
-        if d[n] > 0:
+        # Never up in tau; otherwise down in the free column, so that a
+        # slide's free x_j >= 0 blocks it too.  An exchange lowers tau.
+        if d[n] >= 0:
             d = [-a for a in d]
         rate = d + lp.row_values(d)
         # Blockers: x_j and slack rows falling at rate -rate[j]; tau is none.
@@ -291,8 +305,11 @@ def vertex_from_point(
 
     Each step keeps every tight constraint tight and meets a slack one (a
     slack agent row when tau falls, else some x_j > 0 shrinks), so at most
-    n + 1 exact ratio steps reach a vertex.  Used by the schedule reducer in
-    every round: the size argument only needs vertex-ness, not
+    n + 1 exact ratio steps reach a vertex.  A step moves its free column
+    down unless that raises tau: at an optimal point, where tau cannot move,
+    the free x_j shrinks, so its own x_j >= 0 can stop the step at a zero
+    column rather than at an equal-time handover.  Used by the schedule
+    reducer in every round: the size argument only needs vertex-ness, not
     re-optimization.
     """
     return _answer(*_slide(lp, *_integral((*x, tau))))

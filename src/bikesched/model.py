@@ -312,9 +312,19 @@ def pickups(prev_col: Sequence[int], col: Sequence[int]) -> list[tuple[int, int]
     from ``prev_col`` and riders keeping their own bike are skipped, so
     malformed columns are read without error.
     """
+    return _pickups(_first_riders(prev_col), col)
+
+
+def _first_riders(col: Sequence[int]) -> dict[int, int]:
+    """The first row of ``col`` holding each label."""
     first: dict[int, int] = {}
-    for row, label in enumerate(prev_col):
+    for row, label in enumerate(col):
         first.setdefault(label, row)
+    return first
+
+
+def _pickups(first: dict[int, int], col: Sequence[int]) -> list[tuple[int, int]]:
+    """``pickups`` from the previous column's ``_first_riders``."""
     return [
         (picker, first[label])
         for picker, label in enumerate(col)

@@ -18,19 +18,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .lp import _satisfies, _slide, build_lp, solve_partition
+from .lp import _partition_lp, _satisfies, _slide, solve_partition
 from .model import (
     ContractError,
     ProblemInstance,
     Schedule,
     ScheduleMatrix,
     _arrivals,
+    _first_riders,
     _fractions,
     _integral,
+    _pickups,
     _violations,
     check_feasible,
     handovers,
-    pickups,
 )
 
 
@@ -56,14 +57,16 @@ def _sweep(
     over the dropper's old plan.  Each swap makes one more row keep its
     bike, so a column needs at most b swaps; ``ContractError`` past that.
     Returns the kept lengths over the same denominator, their matrix, the
-    report and the number of swaps that repaired a picker arriving
-    strictly early.  When every column has length 0 no column is kept, and
+    report, the number of swaps that repaired a picker arriving strictly
+    early, and the matrix's ``handovers``, read off the last pickup scan of
+    each kept column.  When every column has length 0 no column is kept, and
     ``ValueError`` is raised.
     """
     m = len(rows)
     labels = [list(row) for row in rows]
     out_cols: list[tuple[int, ...]] = []
     out_x: list[int] = []
+    switches: list[tuple[int, int, int]] = []
     speed, _ = inst._label_speeds  # by label; 0 walks
     reach = [0] * m  # arrival through the columns kept so far
     zero_removed = merged = swaps = repaired = 0
@@ -73,9 +76,10 @@ def _sweep(
             zero_removed += 1
             continue
         column = tuple([row[j] for row in labels])
-        prev = out_cols[-1] if out_cols else ()
+        first = _first_riders(out_cols[-1]) if out_cols else {}
         for _ in range(inst.bikes + 1):
-            due = [(p, d) for p, d in pickups(prev, column) if reach[p] <= reach[d]]
+            hand = _pickups(first, column)
+            due = [(p, d) for p, d in hand if reach[p] <= reach[d]]
             if not due:
                 break
             picker, dropper = due[0]
@@ -89,6 +93,7 @@ def _sweep(
             merged += 1
             out_x[-1] += a
         else:
+            switches += [(p, d, len(out_cols)) for p, d in hand]
             out_cols.append(column)
             out_x.append(a)
         for i in range(m):
@@ -97,7 +102,7 @@ def _sweep(
     if not out_cols:
         raise ValueError("a schedule whose columns all have length 0 has no standard form")
     report = StandardFormReport(zero_removed, merged, swaps)
-    return out_x, ScheduleMatrix(tuple(zip(*out_cols))), report, repaired
+    return out_x, ScheduleMatrix(tuple(zip(*out_cols))), report, repaired, tuple(switches)
 
 
 def standardize(
@@ -120,7 +125,7 @@ def standardize(
     if broken:
         raise ValueError(f"cannot standardize an infeasible schedule: {broken}")
     x, den = _integral(s.partition)
-    x, matrix, report, repaired = _sweep(x, s.matrix.rows, inst)
+    x, matrix, report, repaired, _ = _sweep(x, s.matrix.rows, inst)
     if repaired:
         raise ContractError(f"standardizing repaired {repaired} early pickups")
     return Schedule(_fractions(x, den), matrix), report
@@ -163,6 +168,13 @@ def reduce_schedule(
     against its own LP.  The rounds carry the point (x, tau) as ints over
     one denominator; Fractions are built once, for the answer.
 
+    A zero column costs no round: the next sweep deletes it.  An equal-time
+    handover does, because its suffix swap leaves a point that is no longer
+    a vertex.  The slide shrinks its free column whenever tau stays put,
+    which is always from an optimal point, so that column itself can block
+    at zero: a relay solve at (12, 6) takes 24 slides, against 30 when the
+    column grows.  Each round's LP takes its handovers from the sweep.
+
     ``initial`` is a feasible partition the caller already knows to be
     optimal for the matrix (the solvers build such partitions directly).
     Without it the partition comes from one exact LP solve; every later
@@ -184,7 +196,7 @@ def reduce_schedule(
     while True:
         # The input, then each vertex: at a vertex some agent row is tight, so
         # tau is the makespan, and the sweep keeps every completion time.
-        swept, swept_matrix, report, repaired = _sweep(x, matrix.rows, inst)
+        swept, swept_matrix, report, repaired, switches = _sweep(x, matrix.rows, inst)
         if repaired:
             raise ContractError(f"the sweep repaired {repaired} early pickups")
         if lp is not None:
@@ -197,7 +209,7 @@ def reduce_schedule(
                 raise ContractError("reduction stopped making progress")
             prev_measure = measure
         matrix = swept_matrix
-        lp = build_lp(matrix, inst)
+        lp = _partition_lp(matrix, inst, switches)
         v, v_den = _slide(lp, swept + [tau], den)
         if not _satisfies(lp, v, v_den):
             raise ContractError("the vertex leaves the feasible region")

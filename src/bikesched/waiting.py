@@ -69,7 +69,7 @@ def remove_all_waits(s: Schedule, inst: ProblemInstance) -> Schedule:
     if s.waits is None or all(w == 0 for row in s.waits for w in row):
         return s
     x, x_den = _integral(s.partition)
-    x, matrix, _, _ = _sweep(x, s.matrix.rows, inst)
+    x, matrix, *_ = _sweep(x, s.matrix.rows, inst)
     result = Schedule(_fractions(x, x_den), matrix)
     out, out_den = _arrivals(result, inst)
     if max([row[-1] for row in out]) * den > max([row[-1] for row in partial]) * out_den:

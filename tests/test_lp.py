@@ -3,7 +3,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bikesched.bs
+import bikesched.rbs
 from bikesched import (
     PartitionLP,
     ProblemInstance,
@@ -626,3 +630,63 @@ class TestBlandPath:
             steps.append(pivots)
         # About half the LPs pivot after the start, some many times.
         assert sum(1 for s in steps if s) > 80 and sum(steps) > 250
+
+
+@st.composite
+def _spliced_instances(draw):
+    m = draw(st.integers(2, 6))
+    us = []
+    for _ in range(draw(st.integers(1, min(m, 4)))):
+        q = draw(st.integers(2, 12))
+        us.append(F(draw(st.integers(1, q - 1)), q))
+    return ProblemInstance(m, tuple(sorted(us)), abandonment_limit=1)
+
+
+def _splice_points(inst):
+    """Every spliced (matrix, instance, partition) that ``solve_bs`` and
+    ``solve_rbs`` hand to ``reduce_schedule``: each relay level, and the
+    one-abandonment splice of ``abandon_slowest``."""
+    seen = []
+
+    def spy(matrix, sub, initial=None, _real=bikesched.bs.reduce_schedule):
+        seen.append((matrix, sub, initial))
+        return _real(matrix, sub, initial)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bikesched.bs, "reduce_schedule", spy)
+        mp.setattr(bikesched.rbs, "reduce_schedule", spy)
+        solve_bs(ProblemInstance(inst.agents, inst.inverse_speeds))
+        solve_rbs(inst)
+    return seen
+
+
+class TestSlideFromSplices:
+    # A slide step keeps every tight row tight, never raises tau and absorbs
+    # at least one more row, so it reaches a vertex in n + 1 - rank steps.  A
+    # splice partition is its matrix's LP optimum, where tau cannot move, so
+    # only the free column's direction is chosen there; halfway to the
+    # final-column vertex tau can fall, and must not rise.
+    @settings(max_examples=40)
+    @given(_spliced_instances())
+    def test_slide_reaches_a_vertex_in_rank_steps(self, inst):
+        for matrix, sub, initial in _splice_points(inst):
+            lp = build_lp(matrix, sub)
+            last = (F(0),) * (lp.n - 1) + (F(1),)
+            halfway = tuple([(a + b) / 2 for a, b in zip(initial, last)])
+            for start, exact in ((initial, True), (halfway, False)):
+                tau = completion_profile(Schedule(start, matrix), sub).makespan
+                rank = tight_constraint_rank(lp, start, tau)
+                calls = []
+
+                def counted(self, v, _real=PartitionLP.row_values):
+                    calls.append(v)
+                    return _real(self, v)
+
+                with pytest.MonkeyPatch.context() as mp:
+                    # One evaluation at the start, then one per step.
+                    mp.setattr(PartitionLP, "row_values", counted)
+                    x, vtau = vertex_from_point(lp, start, tau)
+                assert vtau == tau if exact else vtau <= tau
+                assert is_vertex(lp, x, vtau)
+                assert satisfies_all_constraints(lp, x, vtau)
+                assert len(calls) - 1 <= lp.n + 1 - rank

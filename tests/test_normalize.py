@@ -9,15 +9,18 @@ from bikesched import (
     Schedule,
     ScheduleMatrix,
     StandardFormReport,
+    average_bound,
     check_feasible,
     completion_profile,
     is_standard_form,
     reduce_schedule,
     relay_reference,
+    relay_schedule,
     remove_all_waits,
     solve_partition,
     standardize,
 )
+from bikesched.model import _integral, handovers
 from conftest import random_full_matrix, random_instance
 
 TWO_ONE = ProblemInstance(2, (F(1, 2),))
@@ -65,6 +68,30 @@ class TestStandardize:
             after = sorted(completion_profile(out, inst).final)
             assert before == after
             assert check_feasible(out, inst).ok
+
+    def test_sweep_reports_its_handovers(self, rng):
+        # reduce_schedule builds each round's LP from them.
+        import bikesched.normalize as nz
+
+        merged = swapped = 0
+        for _ in range(40):
+            inst = random_instance(rng, max_agents=6)
+            if inst.bikes and inst.slowest <= average_bound(inst):
+                # Equal-time handovers, which the sweep swaps.
+                ref = relay_reference(inst)
+                matrix, x = ref.matrix, ref.partition
+            else:
+                matrix = random_full_matrix(rng, inst, rng.randint(1, 6))
+                x, _ = solve_partition(matrix, inst)
+            # Split one column in two, so that the sweep merges them again.
+            j = rng.randrange(matrix.size)
+            rows = tuple([row[: j + 1] + row[j:] for row in matrix.rows])
+            lengths, _den = _integral(x[:j] + (x[j] / 2, x[j] / 2) + x[j + 1 :])
+            _, out, report, _, switches = nz._sweep(lengths, rows, inst)
+            assert switches == handovers(out)
+            merged += report.redundant_columns_merged > 0
+            swapped += report.swap_switches_resolved > 0
+        assert merged and swapped
 
     def test_idempotent(self, rng):
         for _ in range(10):
@@ -194,6 +221,26 @@ class TestReduce:
         assert red.size <= inst.agents
         assert completion_profile(red, inst).makespan == completion_profile(ref, inst).makespan
 
+    def test_relay_reduction_slide_count(self, monkeypatch):
+        # A slide that leaves tau put shrinks its free column, so that
+        # column's own x >= 0 can block it: a zero column, which the next
+        # sweep deletes, rather than an equal-time handover, whose repair
+        # takes another round.  24 slides here, 30 when the column grew.
+        import bikesched.normalize as nz
+
+        inst = ProblemInstance(12, tuple([F(1, 3) + F(k, 60) for k in range(6)]))
+        calls = []
+
+        def spy(lp, v, den, _real=nz._slide):
+            calls.append(lp.n)
+            return _real(lp, v, den)
+
+        monkeypatch.setattr(nz, "_slide", spy)
+        red = relay_schedule(inst)
+        assert len(calls) <= 24
+        assert red.size <= inst.agents
+        assert completion_profile(red, inst).makespan == average_bound(inst)
+
     def test_stops_on_all_zero_report(self, monkeypatch):
         # The reducer's stop test is standardize's report; it never builds
         # the extra completion profile of is_standard_form.
@@ -265,12 +312,12 @@ class TestReduce:
 
         seen = []
 
-        def spy(matrix, inst_, _real=nz.build_lp):
-            lp = _real(matrix, inst_)
+        def spy(matrix, inst_, switches, _real=nz._partition_lp):
+            lp = _real(matrix, inst_, switches)
             seen.append((lp.n, len(lp.switches)))
             return lp
 
-        monkeypatch.setattr(nz, "build_lp", spy)
+        monkeypatch.setattr(nz, "_partition_lp", spy)
         several = 0
         for _ in range(8):
             inst = random_instance(rng, min_agents=3, max_agents=5)

@@ -44,8 +44,8 @@ from fractions import Fraction as F
 from dataclasses import replace
 from bikesched import (
     ContractError, ProblemInstance, Schedule, ScheduleMatrix, brute_force_rbs,
-    build_lp, completion_profile, reduce_schedule, relay_reference, remove_all_waits,
-    solve_bs, solve_partition, solve_rbs,
+    build_lp, completion_profile, reduce_schedule, relay_reference, relay_schedule,
+    remove_all_waits, solve_bs, solve_partition, solve_rbs,
 )
 from bikesched.lp import vertex_from_point
 from bikesched.model import verify_answer
@@ -69,6 +69,7 @@ results = [
     (x, tau),
     vertex_from_point(build_lp(relay, pair), start, start_tau),
     reduce_schedule(relay_reference(quad).matrix, quad),
+    relay_schedule(ProblemInstance(8, tuple([F(1, 3) + F(k, 40) for k in range(4)]))),
     brute_force_rbs(ProblemInstance(2, (F(1, 2), F(4, 5)), abandonment_limit=1)),
     remove_all_waits(Schedule(
         (F(1, 2), F(1, 2)), ScheduleMatrix(((1, 2), (2, 0), (0, 1))),
