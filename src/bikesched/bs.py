@@ -11,18 +11,31 @@ everyone finish together at the average bound.
 
 Two constructions build the relay bottom-up, one level per bike: level k
 relays the k fastest bikes with the same walkers, spliced from levels
-0..k-1.  Only ``relay_schedule`` reduces, every level, giving size at most
-m in polynomial time.  ``relay_reference`` (for differential testing)
-expands every level in full, so its size is exponential in b, and checks
-its own partition: feasible, every agent finishing at exactly the average
-bound.  Every column carries all b bikes, so no partition beats that bound
-(weak LP duality) and this one is its matrix's LP optimum.  Both hand
-nested columns (group blocks stacked on solo riders) to one splicer,
+0..k-1.  Only ``relay_schedule`` reduces, every level from 2 up, giving
+size at most m in polynomial time.  ``relay_reference`` (for differential
+testing) expands every level in full, so its size is exponential in b, and
+checks its own partition: feasible, every agent finishing at exactly the
+average bound.  Every column carries all b bikes, so no partition beats
+that bound (weak LP duality) and this one is its matrix's LP optimum.  Both
+hand nested columns (group blocks stacked on solo riders) to one splicer,
 ``splice``.  In one pass over the columns it keeps how far each row's
 arrival trails the row above it, reads each column's paces off the
 instance's integer speed table, sizes the column so that its catcher closes
 that gap, and expands the blocks; the one-abandonment schedule of ``rbs``
 uses it too.
+
+Level 1 (one bike of inverse speed u, w walkers, w + 1 columns) needs no
+reduction: its splice is already a standard-form vertex of its LP, so
+``reduce_schedule`` would return it unchanged.  Rider i rides in column i
+and walks elsewhere.  Each later column's catcher, rider i, closes the gap
+that opened on rider i - 1 in column i - 1 at the rate 1 - u > 0, so every
+length is a positive gap over a positive rate (all are equal), and no two
+consecutive columns are equal.  Each dropper rode the column before while
+its picker walked it, so it arrives first: every handover is strict.  All
+w + 1 agent rows are tight (everyone ties), and agent rows i and 0 differ
+by (1 - u)(e_i - e_0) over x.  With the sum row, these differences span the
+x space, and tau's coefficient in agent row 0 adds the last dimension: the
+tight rows have rank w + 2 = n + 1.
 
 When the slowest bike lags (u_b above the average bound), ``solve_bs`` gives
 it a solo rider and solves the other m-1 agents with bikes 1..b-1, one level
@@ -230,10 +243,11 @@ def _relay_levels(inst: ProblemInstance) -> list[Optional[Schedule]]:
     where that subproblem has no agents.
 
     All levels keep the walker count m - b.  Each splices the smaller
-    reduced levels into its relay, then reduces; intermediate sizes stay
-    below m * b.  A subproblem of a relay is a relay (its slowest bike keeps
-    up whenever ``inst``'s does; module docstring), so only ``inst`` is
-    checked.
+    reduced levels into its relay, then reduces it, except level 1, whose
+    splice is already a standard-form vertex (module docstring);
+    intermediate sizes stay below m * b.  A subproblem of a relay is a
+    relay (its slowest bike keeps up whenever ``inst``'s does; module
+    docstring), so only ``inst`` is checked.
     """
     _check_relay_precondition(inst)
     m, b = inst.agents, inst.bikes
@@ -243,7 +257,7 @@ def _relay_levels(inst: ProblemInstance) -> list[Optional[Schedule]]:
         raw = _build_relay(sub, levels)
         if raw.size > m * b:
             raise ContractError("intermediate relay grew beyond the m*b bound")
-        levels.append(reduce_schedule(raw.matrix, sub, initial=raw.partition))
+        levels.append(raw if k == 1 else reduce_schedule(raw.matrix, sub, initial=raw.partition))
     return levels
 
 

@@ -21,6 +21,11 @@ a tie, meets its constraint:
   place of a tight pickup row: an equal-time handover, whose repair leaves
   a point to slide again.  ``vertex_from_point`` slides from the rows tight
   at its point and stops at a vertex, where its echelon has no slots left.
+  It walks only the pickup rows that can block it: a handover whose picker
+  is nowhere faster than its dropper before it is *implied*, a nonnegative
+  sum of x_k >= 0 rows, which adds no rank and never blocks first
+  (``_blocking``).  The slide reports whether its echelon took in a pickup
+  row, which the reduction's stop test reads.
 - **Exchange.**  ``solve_lp``'s echelon writes x and tau over the working
   rows' slacks w (w_j = x_j, w_sum = sum x).  The walk relaxes the
   lowest-id slack whose rise lowers tau, and the blocker's slack takes its
@@ -56,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import lt, mul
 
 from .model import (
     ContractError,
@@ -182,7 +187,8 @@ def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     tight.append([last - c for c in s[a][: n - 1]] + [-last, -1])
     slots = [*range(n - 1), n, n + 1 + a]
     echelon = (tight, [1] * n + [scale], list(range(n + 1)), slots)
-    return _answer(*_walk(lp, echelon, state, scale))
+    v, den, _ = _walk(lp, echelon, state, scale)
+    return _answer(v, den)
 
 
 def _answer(v: list[int], den: int) -> tuple[tuple[Fraction, ...], Fraction]:
@@ -190,11 +196,12 @@ def _answer(v: list[int], den: int) -> tuple[tuple[Fraction, ...], Fraction]:
     return _fractions(v[:-1], den), Fraction(v[-1], den)
 
 
-def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
+def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int, took: bool = False):
     """Step ``state`` (x, tau, then every ``row_values`` row, ints over
     ``den``) along edges of the feasible region until no step lowers tau,
     and return that vertex's ``(x, tau)`` as ints over its denominator,
-    and the denominator."""
+    the denominator, and whether a slide's echelon took in a handover row
+    (``took`` says whether its start did; exchanges leave it)."""
     n = lp.n
     width = n + 1
     tight, heads, pivots, free = echelon
@@ -207,7 +214,7 @@ def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
             # w_sum never does: along it the point scales and tau >= 0 grows.
             rising = [k for k, c in enumerate(tight[n]) if c > 0]
             if not rising:
-                return state[:width], den
+                return state[:width], den, took
             k = min(rising, key=free.__getitem__)
         # Slot k rises at rate ``scale`` and every other slot stays put; a
         # free column is its own variable, and each row gives its pivot's.
@@ -240,7 +247,7 @@ def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
                 state, den = [a // g for a in state], den // g
         if sliding:
             for j in hits:
-                _absorb(echelon, lp.row(j))
+                took |= _absorb(echelon, lp.row(j)) and j > n + lp.agents
         else:
             _exchange(lp, echelon, k, hits[0])
 
@@ -312,33 +319,63 @@ def vertex_from_point(
     reducer in every round: the size argument only needs vertex-ness, not
     re-optimization.
     """
-    return _answer(*_slide(lp, *_integral((*x, tau))))
+    v, den, _ = _slide(lp, *_integral((*x, tau)))
+    return _answer(v, den)
 
 
-def _slide(lp: PartitionLP, v: list[int], den: int) -> tuple[list[int], int]:
+def _slide(lp: PartitionLP, v: list[int], den: int) -> tuple[list[int], int, bool]:
     """``vertex_from_point`` on ints: the point ``v`` = (x, tau) over
-    ``den`` slides to a vertex, returned the same way."""
-    return _walk(lp, *_tight_echelon(lp, v), den)
+    ``den`` slides to a vertex, returned the same way, and whether the
+    echelon took in a handover row.  Only the handover rows that can block
+    it are walked (``_blocking``); the steps, the echelon and the vertex
+    are those of the walk over every row."""
+    lp = _blocking(lp)
+    echelon, state, took = _tight_echelon(lp, v)
+    return _walk(lp, echelon, state, den, took)
 
 
-def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[tuple, list[int]]:
+def _blocking(lp: PartitionLP) -> PartitionLP:
+    """``lp`` without its implied handover rows: those whose picker is
+    nowhere faster than its dropper in the columns before the handover.
+
+    Such a row has no negative coefficient, so it is a nonnegative sum of
+    the rows x_k >= 0 of its support.  Where it is tight, so is every x_k
+    with a positive coefficient, and those come first in state order: the
+    echelon has taken them in, and the row adds no rank.  Along a step its
+    ratio (value over rate of fall) is at least the least of theirs, so it
+    reaches 0 no sooner than the first of them, and at a tie every x_k with
+    a positive coefficient reaches 0 at the same step, so the row is
+    absorbed after them, as a dependent row.  It never blocks a slide
+    first, and dropping it changes no step, no echelon and no denominator
+    (its value is an integer combination of the point's coordinates).  The
+    full ``switches`` stay in every other use of the LP (its checks,
+    ``solve_lp``, the oracle and the reduction's progress measure)."""
+    s = lp.speeds
+    switches = tuple([h for h in lp.switches if any(map(lt, s[h[0]][: h[2]], s[h[1]]))])
+    return PartitionLP(lp.n, s, lp.scale, switches)
+
+
+def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[tuple, list[int], bool]:
     """The echelon of the constraints tight at the integer point ``v`` (any
-    positive multiple of (x, tau)), and the state there: v, then every
-    ``row_values`` row.  The sum row, index n, is always tight."""
+    positive multiple of (x, tau)), the state there (v, then every
+    ``row_values`` row), and whether the echelon took in a handover row.
+    The sum row, index n, is always tight."""
     n = lp.n
     state = v + lp.row_values(v)
     echelon = ([], [], [], list(range(n + 1)))
+    took = False
     for j, value in enumerate(state):
         if value == 0 or j == n:
-            _absorb(echelon, lp.row(j))
-    return echelon, state
+            took |= _absorb(echelon, lp.row(j)) and j > n + lp.agents
+    return echelon, state, took
 
 
-def _absorb(echelon: tuple, row) -> None:
+def _absorb(echelon: tuple, row) -> bool:
     """Add a dense row over (x, tau) to a fully reduced echelon, the
     dictionary (rows, heads, pivot columns, free columns) of ``_pivot``: its
     pivot columns are eliminated at once over the lcm of their heads, and
-    unless it is then zero it pivots on its first nonzero free column."""
+    unless it is then zero it pivots on its first nonzero free column.
+    Returns whether it did, that is whether the row was independent."""
     tight, heads, pivots, free = echelon
     hits = [(piv, h, row[col]) for piv, h, col in zip(tight, heads, pivots) if row[col]]
     scale = lcm(*[h for _piv, h, _f in hits])
@@ -348,12 +385,13 @@ def _absorb(echelon: tuple, row) -> None:
         out = [a - f * b for a, b in zip(out, piv)]
     lead = next((k for k, a in enumerate(out) if a), -1)
     if lead < 0:
-        return
+        return False
     g = gcd(*out)
     tight.append([a // g for a in out] if g > 1 else out)
     heads.append(0)
     pivots.append(-1)
     _pivot(*echelon, len(tight) - 1, lead, drop=True)
+    return True
 
 
 def tight_constraint_rank(
@@ -365,7 +403,7 @@ def tight_constraint_rank(
     equals the variable count n + 1.
     """
     v, _den = _integral((*x, tau))
-    echelon, _state = _tight_echelon(lp, v)
+    echelon, _state, _took = _tight_echelon(lp, v)
     return len(echelon[0])
 
 

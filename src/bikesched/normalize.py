@@ -8,8 +8,8 @@ and arrival times, ``_sweep``, builds it for ``standardize`` (feasible wait-free
 schedules, every completion time kept), ``reduce_schedule`` and
 ``waiting.remove_all_waits`` (schedules whose waits it drops).
 ``reduce_schedule`` alternates sweeps, of its input and then of each LP
-vertex, with slides to a vertex until a sweep changes nothing, which forces
-the size down to at most the number of agents.
+vertex, with slides to a vertex until it holds a vertex in standard form,
+which forces the size down to at most the number of agents.
 """
 
 from __future__ import annotations
@@ -44,7 +44,9 @@ class StandardFormReport:
 
 def _sweep(
     x: Sequence[int], rows: tuple[tuple[int, ...], ...], inst: ProblemInstance
-) -> tuple[list[int], ScheduleMatrix, StandardFormReport, int]:
+) -> tuple[
+    list[int], ScheduleMatrix, StandardFormReport, int, tuple[tuple[int, int, int], ...]
+]:
     """Rebuild the wait-free schedule ``(x, rows)`` in standard form, its
     lengths ``x`` ints over any one denominator.
 
@@ -159,21 +161,38 @@ def reduce_schedule(
     Reads the input's feasibility and makespan off one integer arrival
     profile.  Then it alternates the standard-form sweep with sliding the
     partition to a vertex of equal or better makespan (``lp._slide``, the
-    integer ``vertex_from_point``), until the sweep of a vertex reports all
-    zero: the vertex schedule was already in standard form.  At a vertex, a
-    schedule larger than the agent count always has a zero column or an
-    equal-time handover, so each round strictly shrinks either the size or
-    the handover count; the loop terminates, in standard form, at size <=
-    agents, never increasing the makespan.  Each round checks its vertex
-    against its own LP.  The rounds carry the point (x, tau) as ints over
-    one denominator; Fractions are built once, for the answer.
+    integer ``vertex_from_point``) and stops at the first vertex in
+    standard form.  At a vertex, a schedule larger than the agent count
+    always has a zero column or an equal-time handover, so each round
+    strictly shrinks either the size or the handover count; the loop
+    terminates, in standard form, at size <= agents, never increasing the
+    makespan.  Each round checks its vertex against its own LP.  The
+    rounds carry the point (x, tau) as ints over one denominator; Fractions
+    are built once, for the answer.
+
+    It stops as soon as the point it holds is provably such a vertex, at
+    the first of three exits; the rounds after it would change nothing:
+
+    - **The sweep of a vertex reports all zero.**  The vertex was already
+      in standard form.
+    - **A slide leaves its start in place.**  The start is a sweep's output,
+      so it is in standard form, and sweeping it again is the identity.
+    - **The sweep of a vertex only deleted zero columns**, with no merge
+      and no swap, and the slide's echelon took in no handover row.  Its
+      n + 1 independent rows are then the sum row, agent rows and rows
+      x_j >= 0 of zero columns (a vertex is a point whose tight rows have
+      rank n + 1; Chvatal 1983, ch. 3).  Dropping the zero columns'
+      coordinates drops those unit rows, and the sum and agent rows keep
+      rank n' + 1 over the n' kept columns.  No label moved, so these are
+      the swept LP's own sum and agent rows: the swept point is a vertex of
+      the swept LP, and in standard form.  The next slide would not move
+      and the next sweep would report all zero.
 
     A zero column costs no round: the next sweep deletes it.  An equal-time
     handover does, because its suffix swap leaves a point that is no longer
     a vertex.  The slide shrinks its free column whenever tau stays put,
     which is always from an optimal point, so that column itself can block
-    at zero: a relay solve at (12, 6) takes 24 slides, against 30 when the
-    column grows.  Each round's LP takes its handovers from the sweep.
+    at zero.  Each round's LP takes its handovers from the sweep.
 
     ``initial`` is a feasible partition the caller already knows to be
     optimal for the matrix (the solvers build such partitions directly).
@@ -201,18 +220,26 @@ def reduce_schedule(
             raise ContractError(f"the sweep repaired {repaired} early pickups")
         if lp is not None:
             if report == StandardFormReport(0, 0, 0):
-                if lp.n > inst.agents:
-                    raise ContractError(f"reduced schedule has size {lp.n} > {inst.agents} agents")
-                return Schedule(_fractions(x, den), matrix)
+                break
             measure = (lp.n, len(lp.switches))
             if prev_measure is not None and measure >= prev_measure:
                 raise ContractError("reduction stopped making progress")
             prev_measure = measure
+            if not (took or report.redundant_columns_merged or report.swap_switches_resolved):
+                x, matrix = swept, swept_matrix  # a vertex in standard form
+                break
         matrix = swept_matrix
         lp = _partition_lp(matrix, inst, switches)
-        v, v_den = _slide(lp, swept + [tau], den)
+        point = swept + [tau]
+        v, v_den, took = _slide(lp, point, den)
         if not _satisfies(lp, v, v_den):
             raise ContractError("the vertex leaves the feasible region")
         if v[-1] * den > tau * v_den:
             raise ContractError("reduction increased the makespan")
+        if v_den == den and v == point:
+            x = swept  # the sweep's output was a vertex already
+            break
         x, tau, den = v[:-1], v[-1], v_den
+    if len(x) > inst.agents:
+        raise ContractError(f"reduced schedule has size {len(x)} > {inst.agents} agents")
+    return Schedule(_fractions(x, den), matrix)

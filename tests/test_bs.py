@@ -4,6 +4,8 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bikesched.bs as bs
 import bikesched.lp as lp
@@ -17,9 +19,12 @@ from bikesched import (
     TIGHT_SLOWEST,
     average_bound,
     brute_force_bs,
+    build_lp,
     check_feasible,
     completion_profile,
+    is_standard_form,
     one_abandonment_bound,
+    reduce_schedule,
     relay_reference,
     relay_schedule,
     solve_bs,
@@ -455,6 +460,21 @@ class TestRelayLevels:
         for k in range(1 if m == inst.bikes else 0, inst.bikes + 1):
             assert levels[k] == relay_schedule(inst.sub_instance(k))
         assert levels[-1] == relay_schedule(inst)
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 8),
+        st.integers(2, 60).flatmap(lambda q: st.tuples(st.integers(1, q - 1), st.just(q))),
+    )
+    def test_level_one_is_a_standard_form_vertex(self, walkers, pq):
+        # Level 1 is not reduced: reducing it would return it unchanged.
+        inst = ProblemInstance(walkers + 1, (F(*pq),))
+        level = bs._relay_levels(inst)[1]
+        assert level.size == walkers + 1
+        assert reduce_schedule(level.matrix, inst, initial=level.partition) == level
+        assert is_standard_form(level, inst)
+        tau = completion_profile(level, inst).makespan
+        assert lp.is_vertex(build_lp(level.matrix, inst), level.partition, tau)
 
 
 class TestRelaySchedule:

@@ -644,8 +644,8 @@ def _spliced_instances(draw):
 
 def _splice_points(inst):
     """Every spliced (matrix, instance, partition) that ``solve_bs`` and
-    ``solve_rbs`` hand to ``reduce_schedule``: each relay level, and the
-    one-abandonment splice of ``abandon_slowest``."""
+    ``solve_rbs`` hand to ``reduce_schedule``: each relay level from 2 up,
+    and the one-abandonment splice of ``abandon_slowest``."""
     seen = []
 
     def spy(matrix, sub, initial=None, _real=bikesched.bs.reduce_schedule):

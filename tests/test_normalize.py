@@ -1,7 +1,14 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import bikesched.bs as bs
+import bikesched.lp as lp_mod
+import bikesched.normalize as nz
+import bikesched.rbs as rbs
 from bikesched import (
     ContractError,
     FeasibilityReport,
@@ -10,6 +17,7 @@ from bikesched import (
     ScheduleMatrix,
     StandardFormReport,
     average_bound,
+    build_lp,
     check_feasible,
     completion_profile,
     is_standard_form,
@@ -17,10 +25,12 @@ from bikesched import (
     relay_reference,
     relay_schedule,
     remove_all_waits,
+    solve_bs,
     solve_partition,
+    solve_rbs,
     standardize,
 )
-from bikesched.model import _integral, handovers
+from bikesched.model import _arrivals, _fractions, _integral, _violations, handovers
 from conftest import random_full_matrix, random_instance
 
 TWO_ONE = ProblemInstance(2, (F(1, 2),))
@@ -225,19 +235,28 @@ class TestReduce:
         # A slide that leaves tau put shrinks its free column, so that
         # column's own x >= 0 can block it: a zero column, which the next
         # sweep deletes, rather than an equal-time handover, whose repair
-        # takes another round.  24 slides here, 30 when the column grew.
+        # takes another round.  24 slides and 30 sweeps when each reduction
+        # ended with a slide that did not move and a sweep that changed
+        # nothing, and level 1 was reduced too; 30 slides when the column grew.
         import bikesched.normalize as nz
 
         inst = ProblemInstance(12, tuple([F(1, 3) + F(k, 60) for k in range(6)]))
         calls = []
+        sweeps = []
 
         def spy(lp, v, den, _real=nz._slide):
             calls.append(lp.n)
             return _real(lp, v, den)
 
+        def sweep_spy(x, rows, inst_, _real=nz._sweep):
+            sweeps.append(len(x))
+            return _real(x, rows, inst_)
+
         monkeypatch.setattr(nz, "_slide", spy)
+        monkeypatch.setattr(nz, "_sweep", sweep_spy)
         red = relay_schedule(inst)
-        assert len(calls) <= 24
+        assert len(calls) <= 20
+        assert len(sweeps) <= 23
         assert red.size <= inst.agents
         assert completion_profile(red, inst).makespan == average_bound(inst)
 
@@ -279,8 +298,8 @@ class TestReduce:
         import bikesched.normalize as nz
 
         def overshoot(lp, v, den, _real=nz._slide):
-            w, w_den = _real(lp, v, den)
-            return [2 * a * den - b * w_den for a, b in zip(w, v)], den * w_den
+            w, w_den, took = _real(lp, v, den)
+            return [2 * a * den - b * w_den for a, b in zip(w, v)], den * w_den, took
 
         monkeypatch.setattr(nz, "_slide", overshoot)
         relay = ScheduleMatrix(((1, 1, 0), (2, 0, 1), (0, 2, 2)))
@@ -318,8 +337,11 @@ class TestReduce:
             return lp
 
         monkeypatch.setattr(nz, "_partition_lp", spy)
+        # Most reductions stop after one round, so draw until two took more.
         several = 0
-        for _ in range(8):
+        for _ in range(100):
+            if several == 2:
+                break
             inst = random_instance(rng, min_agents=3, max_agents=5)
             if inst.bikes == 0:
                 continue
@@ -332,3 +354,129 @@ class TestReduce:
                 assert b < a
             several += len(seen) > 1
         assert several >= 2
+
+
+def full_slide(lp, v, den):
+    """``lp._slide`` over every handover row, implied ones included."""
+    echelon, state, took = lp_mod._tight_echelon(lp, v)
+    return lp_mod._walk(lp, echelon, state, den, took)
+
+
+def reference_reduce(matrix, inst, initial=None):
+    """``reduce_schedule`` as one round loop that stops only when the sweep
+    of a vertex reports all zero, with slides over every handover row: the
+    reference for its early exits."""
+    if initial is None:
+        initial, _ = solve_partition(matrix, inst)
+    start = Schedule(tuple(initial), matrix)
+    partial, den = _arrivals(start, inst)
+    broken = _violations(matrix, partial)
+    if broken:
+        raise ValueError(f"cannot reduce an infeasible schedule: {broken}")
+    x, x_den = _integral(start.partition)
+    scale = den // x_den
+    x, tau = [a * scale for a in x], max([row[-1] for row in partial])
+    lp = prev_measure = None
+    while True:
+        swept, swept_matrix, report, repaired, switches = nz._sweep(x, matrix.rows, inst)
+        if repaired:
+            raise ContractError(f"the sweep repaired {repaired} early pickups")
+        if lp is not None:
+            if report == StandardFormReport(0, 0, 0):
+                if lp.n > inst.agents:
+                    raise ContractError(f"reduced schedule has size {lp.n} > {inst.agents} agents")
+                return Schedule(_fractions(x, den), matrix)
+            measure = (lp.n, len(lp.switches))
+            if prev_measure is not None and measure >= prev_measure:
+                raise ContractError("reduction stopped making progress")
+            prev_measure = measure
+        matrix = swept_matrix
+        lp = nz._partition_lp(matrix, inst, switches)
+        v, v_den, _ = full_slide(lp, swept + [tau], den)
+        if not nz._satisfies(lp, v, v_den):
+            raise ContractError("the vertex leaves the feasible region")
+        if v[-1] * den > tau * v_den:
+            raise ContractError("reduction increased the makespan")
+        x, tau, den = v[:-1], v[-1], v_den
+
+
+def _relay_part(inst):
+    """The relay that ``solve_bs`` builds for ``inst``: one solo rider
+    peeled off for each slowest bike that lags."""
+    m, us = inst.agents, inst.inverse_speeds
+    while us and us[-1] > average_bound(ProblemInstance(m, us)):
+        m, us = m - 1, us[:-1]
+    return ProblemInstance(m, us)
+
+
+@st.composite
+def _instances(draw, max_agents=10, limit=1):
+    m = draw(st.integers(1, max_agents))
+    us = []
+    for _ in range(draw(st.integers(0, m))):
+        q = draw(st.integers(2, 24))
+        us.append(F(draw(st.integers(1, q - 1)), q))
+    return ProblemInstance(m, tuple(sorted(us)), abandonment_limit=limit)
+
+
+class TestEarlyExits:
+    """``reduce_schedule`` returns the very Schedule of ``reference_reduce``,
+    the loop that runs every round until a sweep changes nothing; and a
+    slide over the blocking handover rows takes the steps of one over all."""
+
+    @staticmethod
+    def check_slides(monkeypatch):
+        # Every slide the reduction makes agrees with the full slide.
+        def checked(lp, v, den, _real=nz._slide):
+            out = _real(lp, v, den)
+            assert out == full_slide(lp, v, den)
+            return out
+
+        monkeypatch.setattr(nz, "_slide", checked)
+
+    @settings(max_examples=80)
+    @given(_instances())
+    # An exit on a swept vertex whose slide took in a handover row would
+    # leave 8 columns at the top level here.
+    @example(ProblemInstance(9, (F(1, 8), F(1, 5), F(1, 2)), abandonment_limit=1))
+    def test_relay_levels_and_abandon_splices(self, inst):
+        relay = _relay_part(inst)
+        levels = bs._relay_levels(relay)
+        for k in range(1, relay.bikes + 1):
+            sub = relay.sub_instance(k)
+            raw = bs._build_relay(sub, levels[:k])
+            assert levels[k] == reference_reduce(raw.matrix, sub, raw.partition)
+        seen = []
+
+        def spy(matrix, sub, initial=None, _real=nz.reduce_schedule):
+            out = _real(matrix, sub, initial)
+            seen.append(out == reference_reduce(matrix, sub, initial))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            self.check_slides(mp)
+            mp.setattr(bs, "reduce_schedule", spy)
+            mp.setattr(rbs, "reduce_schedule", spy)
+            solve_bs(ProblemInstance(inst.agents, inst.inverse_speeds))
+            solve_rbs(inst)
+        assert all(seen)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32))
+    def test_random_full_matrices(self, seed):
+        rng = random.Random(seed)
+        inst = random_instance(rng, max_agents=5)
+        matrix = random_full_matrix(rng, inst, rng.randint(1, inst.agents + 2))
+        x, _ = solve_partition(matrix, inst)
+        # Halfway to the final-column vertex: feasible, but no vertex.
+        half = tuple([(a + b) / 2 for a, b in zip(x, (F(0),) * (len(x) - 1) + (F(1),))])
+        with pytest.MonkeyPatch.context() as mp:
+            self.check_slides(mp)
+            for initial in (None, x, half):
+                out = reduce_schedule(matrix, inst, initial)
+                assert out == reference_reduce(matrix, inst, initial)
+            lp = build_lp(matrix, inst)
+            tau = completion_profile(Schedule(half, matrix), inst).makespan
+            assert lp_mod.vertex_from_point(lp, half, tau) == lp_mod._answer(
+                *full_slide(lp, *_integral((*half, tau)))[:2]
+            )

@@ -78,8 +78,10 @@ class TestAbandonSlowest:
             assert set(prof.final) == {bound}
 
     def test_reduces_each_relay_level_once(self, monkeypatch):
-        # q = 1: the head block reduces one level and the group table (bikes
-        # 2..4 on 5 agents) three more, each level once.
+        # q = 1: the head block is a one-bike relay and the group table (bikes
+        # 2..4 on 5 agents) has three levels.  Level 1 of a relay is already a
+        # standard-form vertex and is not reduced, so only the table's levels
+        # 2 and 3 are, each once.
         inst = relaxed(6, (F(1, 5), F(2, 3), F(2, 3), F(2, 3), F(19, 20)))
         assert shared_prefix(inst) == 1
         calls = []
@@ -90,7 +92,7 @@ class TestAbandonSlowest:
 
         monkeypatch.setattr(bs, "reduce_schedule", spy)
         sol = abandon_slowest(inst)
-        assert len(calls) == shared_prefix(inst) + inst.bikes - 2 == 4
+        assert len(calls) == inst.bikes - 3 == 2
         assert sol.certificate.tight == TIGHT_ONE_ABANDONED
 
     def test_rejects_non_lagging(self):
