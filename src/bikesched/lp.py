@@ -32,7 +32,13 @@ a tie, meets its constraint:
   slot: the primal simplex on the slack formulation with Bland's rule,
   which cannot cycle (Bland 1977; Chvatal 1983, ch. 3).  It starts, in
   closed form, at the vertex with all length in the last column, which no
-  pickup row constrains, so no phase 1 is needed.
+  pickup row constrains, so no phase 1 is needed.  At the optimum, tau's
+  echelon row holds the dual weights (Chvatal 1983, ch. 5): y_k = -row[k]
+  weighs the constraint of slot k, and head * tau = sum_k y_k * row_k as
+  linear forms, with y >= 0.  ``solve_lp`` checks that identity, the signs
+  and y_sum / head = tau exactly (``_dual``) before it answers, and the
+  oracle's entry ``_solve`` hands the checked weights on, as a bound for
+  later matrices.
 
 ``PartitionLP`` holds the inverse speeds s as ints over one scale, the lcm
 of the instance's denominators (``ProblemInstance`` keeps that table).  An
@@ -62,6 +68,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
 from operator import lt, mul
+from typing import NamedTuple, Optional
 
 from .model import (
     ContractError,
@@ -80,6 +87,24 @@ _Q = Fraction
 
 class LPContractError(ContractError):
     """A guarantee of the partition LP failed: a bug, not bad input."""
+
+
+class _Dual(NamedTuple):
+    """Checked dual weights y of an LP optimum, by column.  ``head * tau
+    >= total`` (the sum row's weight) at every feasible point, with
+    equality at the optimum.  In column j, ``weights[j][i]`` is agent i's
+    row weight less the weights of the handover rows with picker i and
+    column > j, plus those with dropper i: a handover row's terms move its
+    weight from picker to dropper in the columns before it.  ``paces[j]``
+    is sum_i weights[j][i] * s_ij, which is ``total`` plus the weight of
+    x_j >= 0.  ``pickups`` holds the ``(picker, dropper, column)`` of every
+    handover row of positive weight."""
+
+    head: int
+    total: int
+    weights: list[list[int]]
+    paces: list[int]
+    pickups: list[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -168,6 +193,18 @@ def solve_partition(
 def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     """Minimize tau by Bland's rule from the final-column vertex.
 
+    The optimum's dual weights are checked (``_dual``) before it is
+    returned."""
+    v, den, echelon = _optimum(lp)
+    _dual(lp, echelon, v, den)
+    return _answer(v, den)
+
+
+def _optimum(lp: PartitionLP) -> tuple[list[int], int, tuple]:
+    """``solve_lp`` on ints: the optimum (x, tau) over its denominator and
+    the final echelon, whose rows are those of x_0 .. x_{n-1} and tau over
+    the slacks of the working rows.
+
     x = e_last, with tau the inverse speed of agent a, the first agent
     slowest in the last column.  Its working rows are x_j >= 0 (j < n - 1),
     the sum row and agent a's row; over their slacks w the echelon is
@@ -188,7 +225,59 @@ def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     slots = [*range(n - 1), n, n + 1 + a]
     echelon = (tight, [1] * n + [scale], list(range(n + 1)), slots)
     v, den, _ = _walk(lp, echelon, state, scale)
-    return _answer(v, den)
+    return v, den, echelon
+
+
+def _dual(lp: PartitionLP, echelon: tuple, v: list[int], den: int) -> _Dual:
+    """The dual weights at ``solve_lp``'s optimum ``v`` over ``den``, read
+    off tau's echelon row and checked exactly.
+
+    That row says head * tau + sum_k row[k] * w_k = 0 over the slacks of
+    the working rows, so y_k = -row[k] weighs constraint ``free[k]``, and
+    head * tau = sum_k y_k * row(free[k]) as linear forms in (x, tau).  The
+    check takes that identity one coordinate at a time: tau's is head =
+    scale * (sum of the agent rows' weights), and column j's is ``paces[j]``
+    = y_sum + y_{x_j} (``_Dual``).  At the optimum no slack's rise lowers
+    tau, so y >= 0, and y_sum = head * tau.  Any feasible point then has
+    head * tau >= y_sum (weak duality).  A failed check raises
+    ``LPContractError``."""
+    n, m, s = lp.n, lp.agents, lp.speeds
+    tight, heads, _pivots, free = echelon
+    head, y = heads[n], [0] * (n + 1 + m + len(lp.switches))
+    for j, c in zip(free, tight[n]):
+        y[j] = -c
+    total, w = y[n], y[n + 1 : n + 1 + m]
+    ok = head > 0 and min(y) >= 0 and head == lp.scale * sum(w) and total * den == head * v[n]
+    moves: dict[int, list[tuple[int, int, int]]] = {}
+    pickups = []
+    for (p, d, c), weight in zip(lp.switches, y[n + 1 + m :]):
+        if weight:
+            moves.setdefault(c, []).append((p, d, weight))
+            pickups.append((p, d, c))
+    weights, paces = [w] * n, [0] * n
+    for j in range(n - 1, -1, -1):
+        for p, d, weight in moves.get(j + 1, ()):
+            w = list(w)
+            w[p] -= weight
+            w[d] += weight
+        weights[j] = w
+        paces[j] = pace = sum([a * row[j] for a, row in zip(w, s)])
+        ok = ok and pace == total + y[j]
+    if not ok:
+        raise LPContractError("the dual weights at the optimum do not certify it")
+    return _Dual(head, total, weights, paces, pickups)
+
+
+def _solve(
+    matrix: ScheduleMatrix, inst: ProblemInstance, certify: bool
+) -> tuple[list[int], int, Optional[_Dual]]:
+    """The oracle's ``solve_partition`` on ints: the optimum (x, tau) over
+    its denominator and, with ``certify``, its checked ``_Dual``.  The
+    oracle's matrices are well formed by construction, so ``build_lp``'s
+    checks are skipped."""
+    lp = _partition_lp(matrix, inst, handovers(matrix))
+    v, den, echelon = _optimum(lp)
+    return v, den, _dual(lp, echelon, v, den) if certify else None
 
 
 def _answer(v: list[int], den: int) -> tuple[tuple[Fraction, ...], Fraction]:

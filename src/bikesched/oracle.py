@@ -73,7 +73,33 @@ one path moved from d to p.  The walk carries the mask of groups reached
 down its path, one closure and one AND per edge, skips a leaf whose mask is
 nonzero and does no bound work below a mask of 0.  For speeds {4, 4, 5/4}
 at m = 4 and limit 1, 5,646 of the 11,256 matrices below the optimum are
-orbit leaders, and 519 of them get an LP (783 with K = 1).
+orbit leaders, and 519 of them pass the group test (783 with K = 1).
+
+Pruning also carries each solved LP's dual certificate to the later
+matrices of its family.  ``lp._solve`` returns the optimum's checked dual
+weights y >= 0 (``lp._dual``): with head > 0, head * tau = sum_k y_k *
+row_k(x, tau) as linear forms, over the agent rows, the pickup rows, the
+rows x_j >= 0 and the sum row, whose weight y_sum is head times the
+optimum.  Take a matrix of the same column count with inverse speeds s'_ij
+that has every pickup (p, d, c) that y weighs.  Adding up its agent rows
+and those pickup rows with the same weights gives, for every feasible (x',
+tau'), head * tau' >= sum_j x'_j sum_i w_ij s'_ij: a pickup row's terms
+s'_pj - s'_dj, j < c, move weight from picker to dropper in the columns
+before it, so w_ij = y_{a_i} less the weights of the pickups with picker i
+and c > j plus those with dropper i and c > j.  As the x'_j are
+nonnegative and sum to 1, head * tau' >= min_j sum_i w_ij s'_ij, and a
+matrix whose bound is at least the incumbent cannot beat it strictly: it is
+skipped without its LP, which changes no makespan and no witness.  In a
+column that the two matrices share, column j of the identity gives the pace
+sum_i w_ij s_ij = y_sum + y_{x_j} >= y_sum, so the bound is at least
+(y_sum + min(0, min_j D_j)) / head, with D_j = sum_i w_ij (s'_ij - s_ij)
+over the columns that differ; on the solved matrix itself it is its
+optimum, since some x_j > 0 has y_{x_j} = 0.  This is the relay bound's
+argument with the LP's own fractional weights, and the weighted pickups
+must exist because weak duality only adds up rows that the new LP has.  The
+search tries the certificates of the family's ``_CERTIFICATES`` latest
+solved matrices, newest first; a one-column family has one matrix and
+certifies nothing.  For {4, 4, 5/4}, 61 LPs are left of the 519.
 
 The pruned and unpruned searches return identical values (property-tested);
 turn pruning off to make the search a pure exhaustive sweep.
@@ -84,15 +110,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
-from .lp import solve_partition
+from .lp import _answer, _Dual, _solve
 from .model import (
     ContractError, ProblemInstance, Schedule, ScheduleMatrix, abandonment_vector, pickups
 )
 
 
 _MULTIPLICITY = 2  # K: the most relay paths a group puts on one row
+_CERTIFICATES = 8  # the latest LP certificates of a family tried on each matrix
 _Column = tuple[int, ...]
 _Rows = tuple[_Column, ...]
 
@@ -107,9 +134,10 @@ class EnumerationBudget:
 
     ``max_columns`` of None means "as many columns as agents", which is
     always enough; raising it only slows the search down.  ``prune`` toggles
-    the family bounds, the one-matrix-per-orbit skip and the pace bound of
-    relay-closed agent groups described in the module docstring; off, every
-    enumerated matrix is scored.
+    the family bounds, the one-matrix-per-orbit skip, the pace bound of
+    relay-closed agent groups and the dual certificates of earlier LPs
+    described in the module docstring; off, every enumerated matrix is
+    scored.
     """
 
     max_agents: int = 4
@@ -129,15 +157,16 @@ class EnumerationBudget:
             )
 
 
-@dataclass(frozen=True)
-class _Family:
-    """One enumeration family: a column count, the retired bikes and their
-    prefix lengths, plus a makespan lower bound shared by all its matrices
-    and the number of rows that ride in their first column."""
+class _Family(NamedTuple):
+    """One enumeration family: a makespan lower bound shared by all its
+    matrices, as an integer over m * scale (the instance's label speed
+    scale), the column count, the retired bikes and their prefix lengths,
+    and the number of rows that ride in their first column.  Families sort
+    in the order the pruned search visits them."""
 
+    bound: int
     n: int
     prefixes: tuple[tuple[int, int], ...]  # (bike, columns ridden), bike 1-based
-    bound: Fraction
     riders: int
 
 
@@ -169,31 +198,28 @@ def _families(
 ) -> list[_Family]:
     b, m = inst.bikes, inst.agents
     speed, scale = inst._label_speeds
-    # Every bound is an integer over m * scale: a column average is (walkers
-    # * scale + the riding bikes' speeds) / (m * scale), and u_k is m *
-    # speed[k] / (m * scale).  Each distinct numerator gets one Fraction.
-    bounds: dict[int, Fraction] = {}
+    bikes = range(1, b + 1)
+    # Every bound is an integer over m * scale: a column average is m *
+    # scale less (scale - speed[k]) for each riding bike k, and u_k is m *
+    # speed[k].  Active sets only shrink along the columns, and dropping a
+    # bike (u < 1) for a walker raises the average, so column 0 has the
+    # lowest column average.
+    gain = [scale - speed[k] for k in range(b + 1)]
+    everyone = m * scale - sum(gain[1:])
+    kinds = []  # (retired, final-column bound) per retired set
+    for count in range(0, min(abandon_limit, b) + 1):
+        for retired in itertools.combinations(bikes, count):
+            final = m * max([speed[k] for k in bikes if k not in retired], default=0)
+            kinds.append((retired, final))
     families = []
     for n in range(1, max_cols + 1):
-        for count in range(0, min(abandon_limit, b) + 1):
-            for retired in itertools.combinations(range(1, b + 1), count):
-                survivors = [speed[k] for k in range(1, b + 1) if k not in retired]
-                final = m * max(survivors, default=0)
-                for lengths in itertools.product(range(n), repeat=count):
-                    # Active sets only shrink along the columns, and dropping
-                    # a bike (u < 1) for a walker raises the average, so
-                    # column 0 has the lowest column average.
-                    first = [
-                        k
-                        for k in range(1, b + 1)
-                        if k not in retired or lengths[retired.index(k)] > 0
-                    ]
-                    average = (m - len(first)) * scale + sum([speed[k] for k in first])
-                    num = max(average, final)
-                    if num not in bounds:
-                        bounds[num] = Fraction(num, m * scale)
-                    prefixes = tuple(zip(retired, lengths))
-                    families.append(_Family(n, prefixes, bounds[num], len(first)))
+        for retired, final in kinds:
+            for lengths in itertools.product(range(n), repeat=len(retired)):
+                # A bike retired after 0 columns walks in column 0 too.
+                idle = [k for k, length in zip(retired, lengths) if not length]
+                average = everyone + sum([gain[k] for k in idle])
+                prefixes = tuple(zip(retired, lengths))
+                families.append(_Family(max(average, final), n, prefixes, b - len(idle)))
     return families
 
 
@@ -274,34 +300,80 @@ class _PaceBound:
         return groups
 
 
+class _Certificate:
+    """The checked dual certificate of one solved matrix, carried to later
+    matrices of its family (module docstring): each column's old labels,
+    agent weights and weighted pace, and the pickups it weighs."""
+
+    def __init__(self, dual: _Dual, cols: _Rows, speed: tuple[int, ...]) -> None:
+        self.head, self.speed, self.pickups = dual.head, speed, dual.pickups
+        self.columns = list(zip(cols, dual.weights, dual.paces))
+
+    def pace(self, cols: _Rows) -> Optional[int]:
+        """``head`` times a lower bound on the makespan of the matrix with
+        columns ``cols`` (of the same size), or None when it lacks a pickup
+        that the certificate weighs."""
+        for p, d, c in self.pickups:
+            label = cols[c - 1][d]
+            if not label or cols[c][p] != label:
+                return None
+        speed = self.speed
+        return min([
+            pace if col == old else sum([a * speed[label] for a, label in zip(w, col)])
+            for (old, w, pace), col in zip(self.columns, cols)
+        ])
+
+    def rules_out(self, cols: _Rows, p: int, q: int) -> bool:
+        """Whether the certificate proves that the matrix with columns
+        ``cols`` has makespan at least p / q, so that it cannot improve on
+        that incumbent."""
+        pace = self.pace(cols)
+        return pace is not None and pace * q >= self.head * p
+
+
 def _search(
     inst: ProblemInstance, budget: EnumerationBudget, abandon_limit: int
 ) -> tuple[Fraction, Schedule]:
     m = inst.agents
     max_cols = budget.max_columns if budget.max_columns is not None else m
+    speed, scale = inst._label_speeds
+    unit = m * scale  # the family bounds are ints over unit
     families = _families(inst, abandon_limit, max_cols)
     if budget.prune:
-        families.sort(key=lambda f: (f.bound, f.n, f.prefixes))
+        families.sort()
     relabelings = _relabelings(inst)
     pace = _PaceBound(inst) if budget.prune else None
     placements: dict[_Column, list[_Column]] = {}
 
     best_tau: Optional[Fraction] = None
     best: Optional[Schedule] = None
+    p = q = 0  # best_tau as ints
     for family in families:
-        if budget.prune and best_tau is not None and family.bound >= best_tau:
+        if budget.prune and best is not None and family.bound * q >= p * unit:
             break  # families are bound-sorted: nothing later can win
+        # A one-column family has one matrix, which no later one can use.
+        certify = budget.prune and family.n > 1
+        kept: list[_Certificate] = []  # the family's latest certificates first
         for rows in _walk(inst, family, relabelings, pace, placements):
+            if certify:
+                cols = tuple(zip(*rows))
+                if any(c.rules_out(cols, p, q) for c in kept):
+                    continue
             matrix = ScheduleMatrix(rows)
-            x, tau = solve_partition(matrix, inst)
-            if budget.prune and tau < family.bound:
+            v, den, dual = _solve(matrix, inst, certify)
+            tau = v[-1]
+            if budget.prune and tau * unit < family.bound * den:
                 raise ContractError("a family bound exceeds one of its makespans")
-            if best_tau is None or tau < best_tau:
-                best_tau = tau
+            if certify:
+                kept.insert(0, _Certificate(dual, cols, speed))
+                del kept[_CERTIFICATES:]
+            if best is None or tau * q < p * den:
+                x, best_tau = _answer(v, den)
+                p, q = best_tau.numerator, best_tau.denominator
                 best = Schedule(x, matrix)
                 if pace is not None:
                     pace.improve(best_tau)
-                    if best_tau <= family.bound:
+                    if p * unit <= family.bound * q:
                         break  # this family cannot do strictly better
     return best_tau, best
 

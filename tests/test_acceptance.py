@@ -82,22 +82,32 @@ def _rbs_corpus():
 @pytest.fixture(scope="module", autouse=True)
 def audit_every_lp_solve():
     real = bikesched.lp.solve_partition
+    real_oracle = bikesched.oracle._solve
 
-    def checked(matrix, inst):
-        x, tau = real(matrix, inst)
+    def audit(matrix, inst, x, tau):
         lp = build_lp(matrix, inst)
         assert satisfies_all_constraints(lp, x, tau), "LP answer violates a constraint"
         assert is_vertex(lp, x, tau), "LP answer is not a basic feasible solution"
         _Audit.calls += 1
+
+    def checked(matrix, inst):
+        x, tau = real(matrix, inst)
+        audit(matrix, inst, x, tau)
         return x, tau
+
+    def checked_oracle(matrix, inst, certify):
+        # The oracle's entry answers in ints, with the LP's dual certificate.
+        v, den, dual = real_oracle(matrix, inst, certify)
+        audit(matrix, inst, *bikesched.lp._answer(v, den))
+        return v, den, dual
 
     bikesched.lp.solve_partition = checked
     bikesched.normalize.solve_partition = checked
-    bikesched.oracle.solve_partition = checked
+    bikesched.oracle._solve = checked_oracle
     yield
     bikesched.lp.solve_partition = real
     bikesched.normalize.solve_partition = real
-    bikesched.oracle.solve_partition = real
+    bikesched.oracle._solve = real_oracle
 
 
 def _report(num: int, ok: bool, text: str) -> None:

@@ -5,10 +5,11 @@ then inverse speeds p/q with q <= 12.  ``solve_bs`` and limit-1 ``solve_rbs``
 must reach the brute-force optimum exactly.  The explicit examples pin the
 edge cases: equal speeds, the slowest bike exactly at the average bound, and
 pace ties, where a sub-relay's common finish, the one-abandonment bound or a
-solo split's average bound lands exactly on a bike's inverse speed.  About
-4 s on a 2-core machine (Python 3.11.7), most of it in the m = 4, b = 3
-relaxed searches.  Under ``derandomize`` the draws, and so the cost, depend
-on ``max_examples``: 160 draws took 4.3 to 5.8 s and 320 draws 6.2 to 7.0 s.
+solo split's average bound lands exactly on a bike's inverse speed.  The
+400 draws take about 4 s on a 2-core machine (Python 3.11.7; 3.6 and 3.7 s
+in two runs), most of it in the m = 4, b = 3 relaxed searches.  Under
+``derandomize`` the draws, and so the cost, depend on ``max_examples``: 800
+draws took 9.9 and 10.0 s.
 """
 
 from fractions import Fraction as F
@@ -38,11 +39,12 @@ def cases(draw):
     return m, tuple(sorted(us))
 
 
-@settings(max_examples=120)
+@settings(max_examples=400)
 @given(cases())
 # Equal speeds: the first is the relaxed search that no family bound stops,
-# 11,256 matrices below the optimum (5,646 orbit leaders, 519 LPs once slow
-# groups of relay paths are skipped).
+# 11,256 matrices below the optimum (5,646 orbit leaders, 61 LPs once slow
+# groups of relay paths and matrices bounded by an earlier LP's dual
+# certificate are skipped).
 @example((4, (F(1, 4), F(1, 4), F(4, 5))))
 @example((4, (F(1, 2), F(1, 2), F(1, 2))))
 @example((3, (F(2, 3), F(2, 3))))

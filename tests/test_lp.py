@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bikesched.bs
+import bikesched.lp as lp_module
 import bikesched.rbs
 from bikesched import (
     PartitionLP,
@@ -282,6 +284,94 @@ class TestFinalColumnStart:
         # A negative inverse speed puts tau below zero at the start.
         with pytest.raises(LPContractError):
             solve_lp(PartitionLP(1, ((-1,),), 1, ()))
+
+
+class TestDualCertificate:
+    """solve_lp reads its dual weights y off tau's echelon row and checks
+    head * tau = y . (the working rows) as linear forms, y >= 0 and
+    y_sum / head = tau, raising LPContractError on any failure."""
+
+    @staticmethod
+    def _lp_with_exchanges(rng):
+        """A seeded random LP whose walk makes at least two exchanges."""
+        while True:
+            inst = random_instance(rng, max_agents=5, min_agents=3)
+            lp = build_lp(random_full_matrix(rng, inst, inst.agents), inst)
+            exchanges = []
+            real = lp_module._exchange
+            lp_module._exchange = lambda *a: exchanges.append(1) or real(*a)
+            try:
+                lp_module._optimum(lp)
+            finally:
+                lp_module._exchange = real
+            if len(exchanges) >= 2:
+                return lp
+
+    def test_weights_certify_every_optimum(self, rng):
+        for _ in range(100):
+            inst = random_instance(rng, max_agents=6)
+            lp = build_lp(random_full_matrix(rng, inst, rng.randint(1, 5)), inst)
+            v, den, echelon = lp_module._optimum(lp)
+            dual = lp_module._dual(lp, echelon, v, den)
+            assert F(dual.total, dual.head) == F(v[-1], den)
+            # The identity over dense rows: head * e_tau = sum_k y_k row_k.
+            tight, heads, _pivots, free = echelon
+            form = [0] * (lp.n + 1)
+            for j, c in zip(free, tight[lp.n]):
+                assert c <= 0
+                form = [a - c * b for a, b in zip(form, lp.row(j))]
+            assert form == [0] * lp.n + [dual.head]
+            weighted = [j - lp.n - 1 - lp.agents for j, c in zip(free, tight[lp.n]) if c]
+            assert dual.pickups == [lp.switches[r] for r in sorted(weighted) if r >= 0]
+            assert min(dual.paces) == dual.total
+            # Weak duality at the final-column start, a feasible point.
+            start = max(speeds[-1] for speeds in lp.speeds)
+            assert dual.head * start >= dual.total * lp.scale
+
+    def test_rejects_a_perturbed_weight(self, rng):
+        lp = self._lp_with_exchanges(rng)
+        v, den, echelon = lp_module._optimum(lp)
+        lp_module._dual(lp, echelon, v, den)
+        for k in range(lp.n + 1):
+            for delta in (-1, 1):
+                perturbed = copy.deepcopy(echelon)
+                perturbed[0][lp.n][k] += delta
+                with pytest.raises(LPContractError):
+                    lp_module._dual(lp, perturbed, v, den)
+        # Weights that certify the optimum do not certify another value.
+        with pytest.raises(LPContractError):
+            lp_module._dual(lp, echelon, v[:-1] + [v[-1] + 1], den)
+        # Nor another head, even with the value y_sum / head to match it.
+        perturbed = copy.deepcopy(echelon)
+        perturbed[1][lp.n] += 1
+        total = -echelon[0][lp.n][echelon[3].index(lp.n)]
+        with pytest.raises(LPContractError):
+            lp_module._dual(lp, perturbed, v[:-1] + [total], perturbed[1][lp.n])
+
+    def test_rejects_the_vertex_before_the_optimum(self, rng, monkeypatch):
+        # One exchange before the optimum the echelon still describes a
+        # vertex and its value, but some slack's rise lowers tau: a negative
+        # weight, which only the sign check catches.
+        lp = self._lp_with_exchanges(rng)
+        snapshots = []
+        real = lp_module._exchange
+
+        def spy(lp, echelon, k, b):
+            snapshots.append(copy.deepcopy(echelon))
+            real(lp, echelon, k, b)
+
+        monkeypatch.setattr(lp_module, "_exchange", spy)
+        lp_module._optimum(lp)
+        tight, heads, _pivots, free = before = snapshots[-1]
+        ks = free.index(lp.n)  # the sum slot: w_sum = 1, every other slack 0
+        point = [F(-row[ks], h) for row, h in zip(tight, heads)]
+        den = math.lcm(*[a.denominator for a in point])
+        v = [int(a * den) for a in point]
+        assert satisfies_all_constraints(lp, tuple(point[:-1]), point[-1])
+        assert -tight[lp.n][ks] * den == heads[lp.n] * v[-1]
+        assert max(tight[lp.n]) > 0
+        with pytest.raises(LPContractError):
+            lp_module._dual(lp, before, v, den)
 
 
 def _elimination_rank(rows) -> int:

@@ -226,8 +226,12 @@ class TestReduce:
             return _real(matrix, inst_)
 
         monkeypatch.setattr(nz, "solve_partition", spy)
+        # That LP's optimum is trusted only once its dual weights check out.
+        checked = []
+        dual = lp_mod._dual
+        monkeypatch.setattr(lp_mod, "_dual", lambda *a: checked.append(1) or dual(*a))
         red = reduce_schedule(ref.matrix, inst)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(checked) == 1
         assert red.size <= inst.agents
         assert completion_profile(red, inst).makespan == completion_profile(ref, inst).makespan
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import bikesched.lp as lp
 import bikesched.oracle as oracle
 
 from bikesched import (
@@ -92,8 +93,8 @@ def _scored(inst, pace, leaves) -> list:
 def _count_lps(monkeypatch) -> list:
     """A list that gains one entry for every LP the oracle solves."""
     solves = []
-    solve = oracle.solve_partition
-    monkeypatch.setattr(oracle, "solve_partition", lambda *a: solves.append(1) or solve(*a))
+    solve = oracle._solve
+    monkeypatch.setattr(oracle, "_solve", lambda *a: solves.append(1) or solve(*a))
     return solves
 
 
@@ -237,11 +238,13 @@ class TestPruning:
     def test_group_bound_caps_the_full_search(self, monkeypatch):
         # No family bound stops this search: 11,256 matrices below the
         # optimum, 5,646 orbit leaders, most of them outpaced by a slow group
-        # of relay paths (783 LPs with at most one path per row).
+        # of relay paths (783 LPs with at most one path per row, 519 with
+        # two), and most of the rest bounded by the certificate of a matrix
+        # solved before them.
         inst = ProblemInstance(4, (F(1, 4), F(1, 4), F(4, 5)), abandonment_limit=1)
         solves = _count_lps(monkeypatch)
         assert brute_force_rbs(inst)[0] == F(19, 32)
-        assert len(solves) == 519
+        assert len(solves) == 61
 
     @pytest.mark.parametrize(
         "us, columns",
@@ -294,12 +297,13 @@ class TestPruning:
             if all(us[k - 1] == us[i] for i, k in enumerate(p))
         ]
         relabelings = oracle._relabelings(inst)
+        unit = 4 * inst._label_speeds[1]  # family bounds are ints over m * scale
         counts = {}
         for below in (False, True):
             matrices = leaders = 0
             keys = set()
             for family in oracle._families(inst, 1, 4):
-                if below and family.bound >= F(19, 32):
+                if below and F(family.bound, unit) >= F(19, 32):
                     continue
                 walk = oracle._walk(inst, family, relabelings, oracle._PaceBound(inst), {})
                 leaders += sum(1 for _ in walk)
@@ -336,7 +340,8 @@ class TestPruning:
                         (inst.inverse_speeds[k - 1] for k in range(1, b + 1) if k not in retired),
                         default=F(0),
                     )
-                    assert family.bound == max(lowest, final)
+                    unit = m * inst._label_speeds[1]
+                    assert F(family.bound, unit) == max(lowest, final)
 
 
 class TestGroupBound:
@@ -389,3 +394,39 @@ class TestGroupBound:
             assert relayed & plain == plain
             gained += relayed != plain
         assert gained  # some groups are slow only by changing rows
+
+
+class TestCertificates:
+    def test_transported_bound_never_exceeds_the_optimum(self):
+        # The checked dual weights y of one matrix's optimum, carried to a
+        # second matrix of the same size that has every pickup they weigh,
+        # bound the second's makespan from below (weak duality): head * tau'
+        # is at least the least column's pace sum_i w_ij s'_ij.  The second
+        # matrix reshuffles one or more columns of the first, so some pairs
+        # keep the weighted pickups and some lose one.  Draws go on until 200
+        # certificates weigh a pickup.  On the first matrix itself the bound
+        # is its own optimum.
+        rng = random.Random(13)
+        weighted = applied = missing = tight = 0
+        own = []
+        while weighted < 200:
+            inst = random_instance(rng, max_agents=4, max_bikes=3)
+            rows = _retiring_matrix(rng, inst)
+            cols = list(zip(*rows))
+            _, _, dual = lp._solve(ScheduleMatrix(rows), inst, True)
+            weighted += bool(dual.pickups)
+            j = rng.randrange(len(cols))
+            other = [tuple(rng.sample(col, len(col))) if k == j or rng.random() < 0.2 else col
+                     for k, col in enumerate(cols)]
+            cert = oracle._Certificate(dual, cols, inst._label_speeds[0])
+            own.append(cert.pace(cols) == dual.total)
+            pace = cert.pace(other)
+            if pace is None:
+                missing += 1
+                continue
+            _, tau = solve_partition(ScheduleMatrix(tuple(zip(*other))), inst)
+            assert F(pace, cert.head) <= tau
+            applied += 1
+            tight += F(pace, cert.head) == tau and other != cols
+        assert all(own)
+        assert applied >= 200 and missing >= 100 and tight >= 100

@@ -47,7 +47,7 @@ from bikesched import (
     build_lp, completion_profile, reduce_schedule, relay_reference, relay_schedule,
     remove_all_waits, solve_bs, solve_partition, solve_rbs,
 )
-from bikesched.lp import vertex_from_point
+from bikesched.lp import _dual, _optimum, vertex_from_point
 from bikesched.model import verify_answer
 
 
@@ -76,6 +76,11 @@ results = [
         ((F(1, 4), F(0)), (F(0), F(0)), (F(0), F(0))),
     ), ProblemInstance(3, (F(1, 5), F(1, 2)))),
 ]
+# Dual weights of an optimum with one weight perturbed fail their check.
+lp = build_lp(relay, pair)
+v, den, echelon = _optimum(lp)
+echelon[0][-1][0] -= 1
+results.append(raised(lambda: _dual(lp, echelon, v, den)))
 sched, cert = results[0]
 results.append(raised(
     lambda: verify_answer(sched, quad, replace(cert, value=cert.value + 1))
