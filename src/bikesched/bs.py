@@ -24,18 +24,14 @@ instance's integer speed table, sizes the column so that its catcher closes
 that gap, and expands the blocks; the one-abandonment schedule of ``rbs``
 uses it too.
 
-Level 1 (one bike of inverse speed u, w walkers, w + 1 columns) needs no
-reduction: its splice is already a standard-form vertex of its LP, so
+Level 1 (one bike of inverse speed u, w walkers) needs no reduction: its
+splice has w + 1 columns for w + 1 agents and is in standard form, so
 ``reduce_schedule`` would return it unchanged.  Rider i rides in column i
 and walks elsewhere.  Each later column's catcher, rider i, closes the gap
 that opened on rider i - 1 in column i - 1 at the rate 1 - u > 0, so every
 length is a positive gap over a positive rate (all are equal), and no two
 consecutive columns are equal.  Each dropper rode the column before while
-its picker walked it, so it arrives first: every handover is strict.  All
-w + 1 agent rows are tight (everyone ties), and agent rows i and 0 differ
-by (1 - u)(e_i - e_0) over x.  With the sum row, these differences span the
-x space, and tau's coefficient in agent row 0 adds the last dimension: the
-tight rows have rank w + 2 = n + 1.
+its picker walked it, so it arrives first: every handover is strict.
 
 When the slowest bike lags (u_b above the average bound), ``solve_bs`` gives
 it a solo rider and solves the other m-1 agents with bikes 1..b-1, one level
@@ -244,7 +240,8 @@ def _relay_levels(inst: ProblemInstance) -> list[Optional[Schedule]]:
 
     All levels keep the walker count m - b.  Each splices the smaller
     reduced levels into its relay, then reduces it, except level 1, whose
-    splice is already a standard-form vertex (module docstring);
+    splice is already in standard form with m - b + 1 columns (module
+    docstring);
     intermediate sizes stay below m * b.  A subproblem of a relay is a
     relay (its slowest bike keeps up whenever ``inst``'s does; module
     docstring), so only ``inst`` is checked.

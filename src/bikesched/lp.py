@@ -24,8 +24,7 @@ a tie, meets its constraint:
   It walks only the pickup rows that can block it: a handover whose picker
   is nowhere faster than its dropper before it is *implied*, a nonnegative
   sum of x_k >= 0 rows, which adds no rank and never blocks first
-  (``_blocking``).  The slide reports whether its echelon took in a pickup
-  row, which the reduction's stop test reads.
+  (``_blocking``).
 - **Exchange.**  ``solve_lp``'s echelon writes x and tau over the working
   rows' slacks w (w_j = x_j, w_sum = sum x).  The walk relaxes the
   lowest-id slack whose rise lowers tau, and the blocker's slack takes its
@@ -224,7 +223,7 @@ def _optimum(lp: PartitionLP) -> tuple[list[int], int, tuple]:
     tight.append([last - c for c in s[a][: n - 1]] + [-last, -1])
     slots = [*range(n - 1), n, n + 1 + a]
     echelon = (tight, [1] * n + [scale], list(range(n + 1)), slots)
-    v, den, _ = _walk(lp, echelon, state, scale)
+    v, den = _walk(lp, echelon, state, scale)
     return v, den, echelon
 
 
@@ -285,12 +284,11 @@ def _answer(v: list[int], den: int) -> tuple[tuple[Fraction, ...], Fraction]:
     return _fractions(v[:-1], den), Fraction(v[-1], den)
 
 
-def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int, took: bool = False):
+def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
     """Step ``state`` (x, tau, then every ``row_values`` row, ints over
     ``den``) along edges of the feasible region until no step lowers tau,
-    and return that vertex's ``(x, tau)`` as ints over its denominator,
-    the denominator, and whether a slide's echelon took in a handover row
-    (``took`` says whether its start did; exchanges leave it)."""
+    and return that vertex's ``(x, tau)`` as ints over its denominator and
+    the denominator."""
     n = lp.n
     width = n + 1
     tight, heads, pivots, free = echelon
@@ -303,7 +301,7 @@ def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int, took: boo
             # w_sum never does: along it the point scales and tau >= 0 grows.
             rising = [k for k, c in enumerate(tight[n]) if c > 0]
             if not rising:
-                return state[:width], den, took
+                return state[:width], den
             k = min(rising, key=free.__getitem__)
         # Slot k rises at rate ``scale`` and every other slot stays put; a
         # free column is its own variable, and each row gives its pivot's.
@@ -336,7 +334,7 @@ def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int, took: boo
                 state, den = [a // g for a in state], den // g
         if sliding:
             for j in hits:
-                took |= _absorb(echelon, lp.row(j)) and j > n + lp.agents
+                _absorb(echelon, lp.row(j))
         else:
             _exchange(lp, echelon, k, hits[0])
 
@@ -404,23 +402,21 @@ def vertex_from_point(
     n + 1 exact ratio steps reach a vertex.  A step moves its free column
     down unless that raises tau: at an optimal point, where tau cannot move,
     the free x_j shrinks, so its own x_j >= 0 can stop the step at a zero
-    column rather than at an equal-time handover.  Used by the schedule
-    reducer in every round: the size argument only needs vertex-ness, not
-    re-optimization.
+    column rather than at an equal-time handover.  The schedule reducer
+    slides through its integer form, ``_slide``: the size argument only
+    needs vertex-ness, not re-optimization.
     """
-    v, den, _ = _slide(lp, *_integral((*x, tau)))
+    v, den = _slide(lp, *_integral((*x, tau)))
     return _answer(v, den)
 
 
-def _slide(lp: PartitionLP, v: list[int], den: int) -> tuple[list[int], int, bool]:
+def _slide(lp: PartitionLP, v: list[int], den: int) -> tuple[list[int], int]:
     """``vertex_from_point`` on ints: the point ``v`` = (x, tau) over
-    ``den`` slides to a vertex, returned the same way, and whether the
-    echelon took in a handover row.  Only the handover rows that can block
-    it are walked (``_blocking``); the steps, the echelon and the vertex
-    are those of the walk over every row."""
+    ``den`` slides to a vertex, returned the same way.  Only the handover
+    rows that can block it are walked (``_blocking``); the steps, the
+    echelon and the vertex are those of the walk over every row."""
     lp = _blocking(lp)
-    echelon, state, took = _tight_echelon(lp, v)
-    return _walk(lp, echelon, state, den, took)
+    return _walk(lp, *_tight_echelon(lp, v), den)
 
 
 def _blocking(lp: PartitionLP) -> PartitionLP:
@@ -444,27 +440,25 @@ def _blocking(lp: PartitionLP) -> PartitionLP:
     return PartitionLP(lp.n, s, lp.scale, switches)
 
 
-def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[tuple, list[int], bool]:
+def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[tuple, list[int]]:
     """The echelon of the constraints tight at the integer point ``v`` (any
-    positive multiple of (x, tau)), the state there (v, then every
-    ``row_values`` row), and whether the echelon took in a handover row.
-    The sum row, index n, is always tight."""
+    positive multiple of (x, tau)) and the state there (v, then every
+    ``row_values`` row).  The sum row, index n, is always tight."""
     n = lp.n
     state = v + lp.row_values(v)
     echelon = ([], [], [], list(range(n + 1)))
-    took = False
     for j, value in enumerate(state):
         if value == 0 or j == n:
-            took |= _absorb(echelon, lp.row(j)) and j > n + lp.agents
-    return echelon, state, took
+            _absorb(echelon, lp.row(j))
+    return echelon, state
 
 
-def _absorb(echelon: tuple, row) -> bool:
+def _absorb(echelon: tuple, row) -> None:
     """Add a dense row over (x, tau) to a fully reduced echelon, the
     dictionary (rows, heads, pivot columns, free columns) of ``_pivot``: its
     pivot columns are eliminated at once over the lcm of their heads, and
-    unless it is then zero it pivots on its first nonzero free column.
-    Returns whether it did, that is whether the row was independent."""
+    unless it is then zero (dependent on the echelon) it pivots on its first
+    nonzero free column."""
     tight, heads, pivots, free = echelon
     hits = [(piv, h, row[col]) for piv, h, col in zip(tight, heads, pivots) if row[col]]
     scale = lcm(*[h for _piv, h, _f in hits])
@@ -474,13 +468,12 @@ def _absorb(echelon: tuple, row) -> bool:
         out = [a - f * b for a, b in zip(out, piv)]
     lead = next((k for k, a in enumerate(out) if a), -1)
     if lead < 0:
-        return False
+        return
     g = gcd(*out)
     tight.append([a // g for a in out] if g > 1 else out)
     heads.append(0)
     pivots.append(-1)
     _pivot(*echelon, len(tight) - 1, lead, drop=True)
-    return True
 
 
 def tight_constraint_rank(
@@ -492,7 +485,7 @@ def tight_constraint_rank(
     equals the variable count n + 1.
     """
     v, _den = _integral((*x, tau))
-    echelon, _state, _took = _tight_echelon(lp, v)
+    echelon, _state = _tight_echelon(lp, v)
     return len(echelon[0])
 
 

@@ -8,8 +8,9 @@ and arrival times, ``_sweep``, builds it for ``standardize`` (feasible wait-free
 schedules, every completion time kept), ``reduce_schedule`` and
 ``waiting.remove_all_waits`` (schedules whose waits it drops).
 ``reduce_schedule`` alternates sweeps, of its input and then of each LP
-vertex, with slides to a vertex until it holds a vertex in standard form,
-which forces the size down to at most the number of agents.
+vertex, with slides to a vertex, and stops at the first sweep with at most
+as many columns as agents; a vertex with more has a column for the next
+sweep to delete or a handover for it to swap away.
 """
 
 from __future__ import annotations
@@ -161,32 +162,16 @@ def reduce_schedule(
     Reads the input's feasibility and makespan off one integer arrival
     profile.  Then it alternates the standard-form sweep with sliding the
     partition to a vertex of equal or better makespan (``lp._slide``, the
-    integer ``vertex_from_point``) and stops at the first vertex in
-    standard form.  At a vertex, a schedule larger than the agent count
-    always has a zero column or an equal-time handover, so each round
-    strictly shrinks either the size or the handover count; the loop
-    terminates, in standard form, at size <= agents, never increasing the
-    makespan.  Each round checks its vertex against its own LP.  The
-    rounds carry the point (x, tau) as ints over one denominator; Fractions
-    are built once, for the answer.
-
-    It stops as soon as the point it holds is provably such a vertex, at
-    the first of three exits; the rounds after it would change nothing:
-
-    - **The sweep of a vertex reports all zero.**  The vertex was already
-      in standard form.
-    - **A slide leaves its start in place.**  The start is a sweep's output,
-      so it is in standard form, and sweeping it again is the identity.
-    - **The sweep of a vertex only deleted zero columns**, with no merge
-      and no swap, and the slide's echelon took in no handover row.  Its
-      n + 1 independent rows are then the sum row, agent rows and rows
-      x_j >= 0 of zero columns (a vertex is a point whose tight rows have
-      rank n + 1; Chvatal 1983, ch. 3).  Dropping the zero columns'
-      coordinates drops those unit rows, and the sum and agent rows keep
-      rank n' + 1 over the n' kept columns.  No label moved, so these are
-      the swept LP's own sum and agent rows: the swept point is a vertex of
-      the swept LP, and in standard form.  The next slide would not move
-      and the next sweep would report all zero.
+    integer ``vertex_from_point``), and stops right after the first sweep
+    whose output has at most ``inst.agents`` columns: a sweep's output is
+    in standard form.  A vertex with more columns than agents has a zero
+    column or an equal-time handover, because otherwise its only tight rows
+    are the sum row and at most m agent rows, short of the n + 1 a vertex
+    needs (Chvatal 1983, ch. 3).  So the sweep of each vertex either stops
+    the loop or strictly shrinks (size, handover count), which is checked;
+    the makespan never increases, and each round checks its vertex against
+    its own LP.  The rounds carry the point (x, tau) as ints over one
+    denominator; Fractions are built once, for the answer.
 
     A zero column costs no round: the next sweep deletes it.  An equal-time
     handover does, because its suffix swap leaves a point that is no longer
@@ -211,35 +196,23 @@ def reduce_schedule(
     x, x_den = _integral(start.partition)
     scale = den // x_den
     x, tau = [a * scale for a in x], max([row[-1] for row in partial])
-    lp = prev_measure = None
+    prev_measure = None
     while True:
         # The input, then each vertex: at a vertex some agent row is tight, so
         # tau is the makespan, and the sweep keeps every completion time.
-        swept, swept_matrix, report, repaired, switches = _sweep(x, matrix.rows, inst)
+        x, matrix, _, repaired, switches = _sweep(x, matrix.rows, inst)
         if repaired:
             raise ContractError(f"the sweep repaired {repaired} early pickups")
-        if lp is not None:
-            if report == StandardFormReport(0, 0, 0):
-                break
-            measure = (lp.n, len(lp.switches))
-            if prev_measure is not None and measure >= prev_measure:
-                raise ContractError("reduction stopped making progress")
-            prev_measure = measure
-            if not (took or report.redundant_columns_merged or report.swap_switches_resolved):
-                x, matrix = swept, swept_matrix  # a vertex in standard form
-                break
-        matrix = swept_matrix
+        if len(x) <= inst.agents:
+            return Schedule(_fractions(x, den), matrix)
+        measure = (len(x), len(switches))
+        if prev_measure is not None and measure >= prev_measure:
+            raise ContractError("reduction stopped making progress")
+        prev_measure = measure
         lp = _partition_lp(matrix, inst, switches)
-        point = swept + [tau]
-        v, v_den, took = _slide(lp, point, den)
+        v, v_den = _slide(lp, x + [tau], den)
         if not _satisfies(lp, v, v_den):
             raise ContractError("the vertex leaves the feasible region")
         if v[-1] * den > tau * v_den:
             raise ContractError("reduction increased the makespan")
-        if v_den == den and v == point:
-            x = swept  # the sweep's output was a vertex already
-            break
         x, tau, den = v[:-1], v[-1], v_den
-    if len(x) > inst.agents:
-        raise ContractError(f"reduced schedule has size {len(x)} > {inst.agents} agents")
-    return Schedule(_fractions(x, den), matrix)

@@ -30,7 +30,7 @@ from bikesched import (
     solve_rbs,
     standardize,
 )
-from bikesched.model import _arrivals, _fractions, _integral, _violations, handovers
+from bikesched.model import _fractions, _integral, handovers
 from conftest import random_full_matrix, random_instance
 
 TWO_ONE = ProblemInstance(2, (F(1, 2),))
@@ -239,9 +239,11 @@ class TestReduce:
         # A slide that leaves tau put shrinks its free column, so that
         # column's own x >= 0 can block it: a zero column, which the next
         # sweep deletes, rather than an equal-time handover, whose repair
-        # takes another round.  24 slides and 30 sweeps when each reduction
-        # ended with a slide that did not move and a sweep that changed
-        # nothing, and level 1 was reduced too; 30 slides when the column grew.
+        # takes another round.  20 slides when a reduction stopped at its
+        # first standard-form vertex, not at its first sweep within m columns;
+        # 24 slides and 30 sweeps when each reduction ended with a slide that
+        # did not move and a sweep that changed nothing, and level 1 was
+        # reduced too; 30 slides when the column grew.
         import bikesched.normalize as nz
 
         inst = ProblemInstance(12, tuple([F(1, 3) + F(k, 60) for k in range(6)]))
@@ -259,14 +261,32 @@ class TestReduce:
         monkeypatch.setattr(nz, "_slide", spy)
         monkeypatch.setattr(nz, "_sweep", sweep_spy)
         red = relay_schedule(inst)
-        assert len(calls) <= 20
+        assert len(calls) <= 18
         assert len(sweeps) <= 23
         assert red.size <= inst.agents
         assert completion_profile(red, inst).makespan == average_bound(inst)
 
-    def test_stops_on_all_zero_report(self, monkeypatch):
-        # The reducer's stop test is standardize's report; it never builds
-        # the extra completion profile of is_standard_form.
+    def test_within_m_at_first_sweep_does_not_slide(self, monkeypatch):
+        # A sweep's output is in standard form, so an input whose first
+        # sweep keeps at most m columns is the answer as swept: no slide.
+        import bikesched.normalize as nz
+
+        def refuse(*_args):
+            raise AssertionError("_slide called")
+
+        monkeypatch.setattr(nz, "_slide", refuse)
+        relay = ScheduleMatrix(((1, 1, 0), (2, 0, 1), (0, 2, 2)))
+        pair = ProblemInstance(3, (F(1, 2), F(2, 3)))
+        x, tau = solve_partition(relay, pair)
+        for initial in (None, x):
+            red = reduce_schedule(relay, pair, initial=initial)
+            assert red == Schedule(x, relay)
+            assert completion_profile(red, pair).makespan == tau
+
+    def test_stops_without_a_standard_form_check(self, monkeypatch):
+        # The reducer's stop test is the swept column count: a sweep's output
+        # is in standard form, so it never builds the extra completion
+        # profile of is_standard_form.
         import bikesched.normalize as nz
 
         def refuse(*_args):
@@ -298,20 +318,20 @@ class TestReduce:
 
     def test_vertex_past_its_blocker_raises(self, monkeypatch):
         # A slide that steps as far again past the vertex it reached breaks
-        # every constraint it hit on the way.
+        # every constraint it hit on the way.  The reference relay has 6
+        # columns for 4 agents, so the reduction slides.
         import bikesched.normalize as nz
 
         def overshoot(lp, v, den, _real=nz._slide):
-            w, w_den, took = _real(lp, v, den)
-            return [2 * a * den - b * w_den for a, b in zip(w, v)], den * w_den, took
+            w, w_den = _real(lp, v, den)
+            return [2 * a * den - b * w_den for a, b in zip(w, v)], den * w_den
 
         monkeypatch.setattr(nz, "_slide", overshoot)
-        relay = ScheduleMatrix(((1, 1, 0), (2, 0, 1), (0, 2, 2)))
-        pair = ProblemInstance(3, (F(1, 2), F(2, 3)))
-        x, _ = solve_partition(relay, pair)
-        start = ((x[0] + 1) / 2, x[1] / 2, x[2] / 2)
+        quad = ProblemInstance(4, (F(1, 3), F(2, 5)))
+        ref = relay_reference(quad)
+        assert ref.size == 6
         with pytest.raises(ContractError, match="feasible region"):
-            reduce_schedule(relay, pair, initial=start)
+            reduce_schedule(ref.matrix, quad, initial=ref.partition)
 
     def test_warm_start_agrees(self, rng):
         for _ in range(5):
@@ -328,9 +348,10 @@ class TestReduce:
 
     def test_iteration_strictly_shrinks(self, rng, monkeypatch):
         # Every round's matrix must lower (columns, handovers)
-        # lexicographically; run a few larger matrices through and watch.
-        # The start halfway between the LP vertex and the final-column vertex
-        # is feasible but no vertex, so the slides have work to do.
+        # lexicographically; run matrices 12 columns wider than their agent
+        # count through and watch.  The start halfway between the LP vertex
+        # and the final-column vertex is feasible but no vertex, so the
+        # slides have work to do.
         import bikesched.normalize as nz
 
         seen = []
@@ -341,15 +362,16 @@ class TestReduce:
             return lp
 
         monkeypatch.setattr(nz, "_partition_lp", spy)
-        # Most reductions stop after one round, so draw until two took more.
+        # Most reductions stop within m columns at their first or second
+        # sweep, so draw until two took 2 rounds or more.
         several = 0
-        for _ in range(100):
+        for _ in range(500):
             if several == 2:
                 break
-            inst = random_instance(rng, min_agents=3, max_agents=5)
+            inst = random_instance(rng, min_agents=3, max_agents=6)
             if inst.bikes == 0:
                 continue
-            matrix = random_full_matrix(rng, inst, inst.agents + 2)
+            matrix = random_full_matrix(rng, inst, inst.agents + 12)
             x, _ = solve_partition(matrix, inst)
             start = x[:-1] + (x[-1] + 1,)
             seen.clear()
@@ -362,46 +384,24 @@ class TestReduce:
 
 def full_slide(lp, v, den):
     """``lp._slide`` over every handover row, implied ones included."""
-    echelon, state, took = lp_mod._tight_echelon(lp, v)
-    return lp_mod._walk(lp, echelon, state, den, took)
+    return lp_mod._walk(lp, *lp_mod._tight_echelon(lp, v), den)
 
 
 def reference_reduce(matrix, inst, initial=None):
-    """``reduce_schedule`` as one round loop that stops only when the sweep
-    of a vertex reports all zero, with slides over every handover row: the
-    reference for its early exits."""
+    """``reduce_schedule`` from public parts, with slides over every
+    handover row: ``standardize`` (which checks each vertex's feasibility)
+    until the schedule has at most m columns, with a full slide of each
+    standardized schedule in between."""
     if initial is None:
         initial, _ = solve_partition(matrix, inst)
-    start = Schedule(tuple(initial), matrix)
-    partial, den = _arrivals(start, inst)
-    broken = _violations(matrix, partial)
-    if broken:
-        raise ValueError(f"cannot reduce an infeasible schedule: {broken}")
-    x, x_den = _integral(start.partition)
-    scale = den // x_den
-    x, tau = [a * scale for a in x], max([row[-1] for row in partial])
-    lp = prev_measure = None
+    s = Schedule(tuple(initial), matrix)
     while True:
-        swept, swept_matrix, report, repaired, switches = nz._sweep(x, matrix.rows, inst)
-        if repaired:
-            raise ContractError(f"the sweep repaired {repaired} early pickups")
-        if lp is not None:
-            if report == StandardFormReport(0, 0, 0):
-                if lp.n > inst.agents:
-                    raise ContractError(f"reduced schedule has size {lp.n} > {inst.agents} agents")
-                return Schedule(_fractions(x, den), matrix)
-            measure = (lp.n, len(lp.switches))
-            if prev_measure is not None and measure >= prev_measure:
-                raise ContractError("reduction stopped making progress")
-            prev_measure = measure
-        matrix = swept_matrix
-        lp = nz._partition_lp(matrix, inst, switches)
-        v, v_den, _ = full_slide(lp, swept + [tau], den)
-        if not nz._satisfies(lp, v, v_den):
-            raise ContractError("the vertex leaves the feasible region")
-        if v[-1] * den > tau * v_den:
-            raise ContractError("reduction increased the makespan")
-        x, tau, den = v[:-1], v[-1], v_den
+        s, _ = standardize(s, inst)
+        if s.size <= inst.agents:
+            return s
+        tau = completion_profile(s, inst).makespan
+        v, v_den = full_slide(build_lp(s.matrix, inst), *_integral((*s.partition, tau)))
+        s = Schedule(_fractions(v[:-1], v_den), s.matrix)
 
 
 def _relay_part(inst):
@@ -425,8 +425,9 @@ def _instances(draw, max_agents=10, limit=1):
 
 class TestEarlyExits:
     """``reduce_schedule`` returns the very Schedule of ``reference_reduce``,
-    the loop that runs every round until a sweep changes nothing; and a
-    slide over the blocking handover rows takes the steps of one over all."""
+    the same one stop rule, at the first sweep within m columns, built from
+    public parts; and a slide over the blocking handover rows takes the
+    steps of one over all."""
 
     @staticmethod
     def check_slides(monkeypatch):
@@ -440,8 +441,9 @@ class TestEarlyExits:
 
     @settings(max_examples=80)
     @given(_instances())
-    # An exit on a swept vertex whose slide took in a handover row would
-    # leave 8 columns at the top level here.
+    # A stop at every sweep of a vertex that only deleted zero columns,
+    # whatever its column count, leaves 10 columns for 9 agents at the top
+    # level here.
     @example(ProblemInstance(9, (F(1, 8), F(1, 5), F(1, 2)), abandonment_limit=1))
     def test_relay_levels_and_abandon_splices(self, inst):
         relay = _relay_part(inst)
@@ -470,7 +472,9 @@ class TestEarlyExits:
     def test_random_full_matrices(self, seed):
         rng = random.Random(seed)
         inst = random_instance(rng, max_agents=5)
-        matrix = random_full_matrix(rng, inst, rng.randint(1, inst.agents + 2))
+        # Most random matrices are within m columns at their first sweep and
+        # never slide; 24 more columns than agents make some 1 in 8 slide.
+        matrix = random_full_matrix(rng, inst, inst.agents + 24)
         x, _ = solve_partition(matrix, inst)
         # Halfway to the final-column vertex: feasible, but no vertex.
         half = tuple([(a + b) / 2 for a, b in zip(x, (F(0),) * (len(x) - 1) + (F(1),))])

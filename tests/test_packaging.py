@@ -69,6 +69,7 @@ results = [
     (x, tau),
     vertex_from_point(build_lp(relay, pair), start, start_tau),
     reduce_schedule(relay_reference(quad).matrix, quad),
+    reduce_schedule(relay, pair, initial=x),  # within m at its first sweep
     relay_schedule(ProblemInstance(8, tuple([F(1, 3) + F(k, 40) for k in range(4)]))),
     brute_force_rbs(ProblemInstance(2, (F(1, 2), F(4, 5)), abandonment_limit=1)),
     remove_all_waits(Schedule(
