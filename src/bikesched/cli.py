@@ -4,7 +4,8 @@ Subcommands: ``solve`` (run a solver and write a schedule file), ``verify``
 (re-check a schedule file against a problem file), ``render`` (draw a
 schedule as SVG), and ``oracle`` (brute-force a tiny instance).  Exit codes:
 0 success / feasible, 1 infeasible schedule (verify), 2 malformed input,
-3 unsupported abandonment limit, 4 internal verification failure.
+3 unsupported abandonment limit (solve) or exhausted budget (oracle), 4 a
+failed internal check (a ``ContractError`` from solve or oracle).
 """
 
 from __future__ import annotations
@@ -171,6 +172,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except ContractError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 

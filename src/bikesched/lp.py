@@ -10,8 +10,7 @@ One engine, ``_walk``, serves both entry points.  Its state is x, then tau,
 then the value of every agent and pickup row, all ints over one positive
 denominator; the same order numbers the constraints (``PartitionLP.row``),
 with the sum row at tau's index n, as tau is never a constraint.  Each step
-moves along an edge until the nearest blocker, the first in state order on
-a tie, meets its constraint:
+moves along an edge until the nearest blocker meets its constraint:
 
 - **Slide.**  While the echelon of working rows leaves a free column, the
   step keeps them tight and moves along the first free column, down unless
@@ -26,18 +25,28 @@ a tie, meets its constraint:
   sum of x_k >= 0 rows, which adds no rank and never blocks first
   (``_blocking``).
 - **Exchange.**  ``solve_lp``'s echelon writes x and tau over the working
-  rows' slacks w (w_j = x_j, w_sum = sum x).  The walk relaxes the
-  lowest-id slack whose rise lowers tau, and the blocker's slack takes its
-  slot: the primal simplex on the slack formulation with Bland's rule,
-  which cannot cycle (Bland 1977; Chvatal 1983, ch. 3).  It starts, in
-  closed form, at the vertex with all length in the last column, which no
-  pickup row constrains, so no phase 1 is needed.  At the optimum, tau's
-  echelon row holds the dual weights (Chvatal 1983, ch. 5): y_k = -row[k]
-  weighs the constraint of slot k, and head * tau = sum_k y_k * row_k as
-  linear forms, with y >= 0.  ``solve_lp`` checks that identity, the signs
-  and y_sum / head = tau exactly (``_dual``) before it answers, and the
-  oracle's entry ``_solve`` hands the checked weights on, as a bound for
-  later matrices.
+  rows' slacks w (w_j = x_j, w_sum = sum x).  It starts, in closed form,
+  at the vertex with all length in the last column, which meets every
+  pickup row with equality (none has a last-column term), so no phase 1
+  is needed.  The walk relaxes the first slack whose rise lowers tau, and
+  the first blocker of a ratio tie puts its slack in that slot: the primal
+  simplex on the slack formulation with Bland's rule in one fixed order of
+  the constraints, computed once per LP (``_bland_order``): x_j >= 0 by
+  how many pickup rows after column j have a picker faster than its
+  dropper there, fewest first, ties by column, then the sum, agent and
+  pickup rows in state order.  Bland's proof that no basis repeats holds
+  for any fixed order that the entering and the leaving choice share, so
+  the walk ends (Bland 1977; Chvatal 1983, ch. 3).  The order sets the
+  path, and which optimal vertex is found where several are: each such
+  pickup row blocks moving length into x_j at once from the start, so an
+  x_j that none blocks moves the point at its first exchange.  Where no
+  column is blocked the order is the lowest-index one.  At the optimum,
+  tau's echelon row holds the dual weights (Chvatal 1983, ch. 5): y_k =
+  -row[k] weighs the constraint of slot k, and head * tau = sum_k y_k *
+  row_k as linear forms, with y >= 0.  ``solve_lp`` checks that identity,
+  the signs and y_sum / head = tau exactly (``_dual``) before it answers,
+  and the oracle's entry ``_solve`` hands the checked weights on, as a
+  bound for later matrices.
 
 ``PartitionLP`` holds the inverse speeds s as ints over one scale, the lcm
 of the instance's denominators (``ProblemInstance`` keeps that table).  An
@@ -192,8 +201,13 @@ def solve_partition(
 def solve_lp(lp: PartitionLP) -> tuple[tuple[Fraction, ...], Fraction]:
     """Minimize tau by Bland's rule from the final-column vertex.
 
-    The optimum's dual weights are checked (``_dual``) before it is
-    returned."""
+    Entering slacks and ratio ties both go by one fixed order of the
+    constraints, computed once from the LP (``_bland_order``): x_j >= 0
+    first, fewest blocking pickup rows first and ties by column, then the
+    sum, agent and pickup rows as numbered.  With one fixed order shared by
+    both choices, Bland's rule never repeats a basis, so the walk ends
+    (Bland 1977).  The optimum's dual weights are checked (``_dual``)
+    before it is returned."""
     v, den, echelon = _optimum(lp)
     _dual(lp, echelon, v, den)
     return _answer(v, den)
@@ -288,10 +302,13 @@ def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
     """Step ``state`` (x, tau, then every ``row_values`` row, ints over
     ``den``) along edges of the feasible region until no step lowers tau,
     and return that vertex's ``(x, tau)`` as ints over its denominator and
-    the denominator."""
+    the denominator.  An exchange enters, and a ratio tie leaves, by the
+    least rank of its constraint in ``_bland_order``, computed at the first
+    exchange; a slide never exchanges."""
     n = lp.n
     width = n + 1
     tight, heads, pivots, free = echelon
+    rank = None
     while True:
         sliding = len(tight) < width
         if sliding:
@@ -302,7 +319,9 @@ def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
             rising = [k for k, c in enumerate(tight[n]) if c > 0]
             if not rising:
                 return state[:width], den
-            k = min(rising, key=free.__getitem__)
+            if rank is None:
+                rank = _bland_order(lp)
+            k = min(rising, key=lambda k: rank[free[k]])
         # Slot k rises at rate ``scale`` and every other slot stays put; a
         # free column is its own variable, and each row gives its pivot's.
         scale = lcm(*[h for row, h in zip(tight, heads) if row[k]])
@@ -336,7 +355,26 @@ def _walk(lp: PartitionLP, echelon: tuple, state: list[int], den: int):
             for j in hits:
                 _absorb(echelon, lp.row(j))
         else:
-            _exchange(lp, echelon, k, hits[0])
+            _exchange(lp, echelon, k, min(hits, key=rank.__getitem__))
+
+
+def _bland_order(lp: PartitionLP) -> list[int]:
+    """The rank of every constraint, by number, in the one fixed order of
+    ``_walk``'s exchanges: x_j >= 0 first, by how many pickup rows after
+    column j have a picker faster than its dropper there (each blocks a
+    rise of x_j at the final-column start), fewest first, then by column;
+    then the sum, agent and pickup rows in state order."""
+    n, s = lp.n, lp.speeds
+    blocks = [0] * n
+    for p, d, c in lp.switches:
+        for k, a, b in zip(range(c), s[p], s[d]):
+            if a < b:
+                blocks[k] += 1
+    rank = list(range(n + 1 + lp.agents + len(lp.switches)))
+    if any(blocks):  # else the columns are already in order
+        for r, j in enumerate(sorted(range(n), key=blocks.__getitem__)):
+            rank[j] = r - n
+    return rank
 
 
 def _exchange(lp: PartitionLP, echelon: tuple, k: int, b: int) -> None:

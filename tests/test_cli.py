@@ -7,6 +7,7 @@ import pytest
 
 from bikesched import ContractError, ProblemInstance, Schedule, ScheduleMatrix
 from bikesched.cli import main
+from bikesched.lp import LPContractError
 from bikesched.rational import format_fraction
 from bikesched.serialize import (
     dump_schedule,
@@ -157,6 +158,15 @@ class TestSolveCommand:
         assert main(["solve", "--in", str(problem_bs), "--out", str(out)]) == 4
         assert not out.exists()
         assert "solver broke a guarantee" in capsys.readouterr().err
+
+    def test_oracle_contract_failure_exit_4(self, problem_rbs, monkeypatch, capsys):
+        def broken(inst, budget):
+            raise LPContractError("the dual weights at the optimum do not certify it")
+
+        monkeypatch.setattr("bikesched.cli.brute_force_rbs", broken)
+        assert main(["oracle", "--in", str(problem_rbs)]) == 4
+        err = capsys.readouterr().err
+        assert "internal check failed: the dual weights" in err
 
     def test_solution_verifies(self, problem_rbs, tmp_path):
         out = tmp_path / "sched.json"

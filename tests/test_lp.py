@@ -21,6 +21,7 @@ from bikesched import (
     check_feasible,
     completion_profile,
     one_abandonment_bound,
+    reduce_schedule,
     relay_reference,
     solve_bs,
     solve_partition,
@@ -661,14 +662,15 @@ class TestEchelonKernel:
             assert first[3] == second[3]
 
 
-def _bland_tableau(lp):
+def _bland_tableau(lp, rank):
     """A dense Fraction tableau simplex with solve_lp's start and rule,
     independent of lp.py: columns x, tau, one slack per constraint row, then
-    the right-hand side; the sum row and the objective row come last.  x_last
-    enters the sum row, tau the row of the agent slowest in the last column,
-    then the lowest-index column with a negative reduced cost enters and the
-    least ratio leaves, ties to the lowest basic column.  Returns the optimum
-    and the number of pivots after the start."""
+    the right-hand side; the sum row and the objective row come last, and
+    column c stands for constraint c.  x_last enters the sum row, tau the row
+    of the agent slowest in the last column, then of the columns with a
+    negative reduced cost the one of least ``rank`` enters, and the least
+    ratio leaves, ties to the basic column of least ``rank``.  Returns the
+    optimum and the number of pivots after the start."""
     n, rows = lp.n, _fraction_rows(lp)
     k = len(rows)
     table = [
@@ -691,11 +693,12 @@ def _bland_tableau(lp):
     pivot(max(range(lp.agents), key=lambda i: speeds[i][n - 1]), n)
     steps = 0
     while True:
-        enter = next((c for c, z in enumerate(table[-1][:-1]) if z < 0), None)
-        if enter is None:
+        entering = [c for c, z in enumerate(table[-1][:-1]) if z < 0]
+        if not entering:
             break
+        enter = min(entering, key=rank)
         rising = [r for r in range(k + 1) if table[r][enter] > 0]
-        pivot(min(rising, key=lambda r: (table[r][-1] / table[r][enter], basis[r])), enter)
+        pivot(min(rising, key=lambda r: (table[r][-1] / table[r][enter], rank(basis[r]))), enter)
         steps += 1
     point = [F(0)] * (n + 1)
     for r, c in enumerate(basis):
@@ -704,9 +707,21 @@ def _bland_tableau(lp):
     return (tuple(point[:n]), point[n]), steps
 
 
+def _fewest_blocks_first(lp):
+    """solve_lp's fixed order over the tableau's columns, rebuilt from the
+    Fraction rows: x_j >= 0 by the number of handover rows with a negative
+    entry in column j, fewest first, then by column; then tau (the sum row's
+    rank, which has no slack column here), the agent and handover slacks."""
+    n, handover_rows = lp.n, _fraction_rows(lp)[lp.agents :]
+    blocks = [sum(1 for row in handover_rows if row[j] < 0) for j in range(n)]
+    order = sorted(range(n), key=lambda j: (blocks[j], j))
+    return lambda c: order.index(c) - n if c < n else c
+
+
 class TestBlandPath:
     def test_solve_lp_returns_the_reference_vertex(self, rng):
         # Not only the same tau: the same vertex, so the same pivot path.
+        # Bland's rule in the lowest-index order must reach the same tau.
         steps = []
         for k in range(220):
             inst = random_instance(rng, max_agents=6)
@@ -715,11 +730,32 @@ class TestBlandPath:
             else:
                 matrix = random_full_matrix(rng, inst, rng.randint(1, 5))
             lp = build_lp(matrix, inst)
-            answer, pivots = _bland_tableau(lp)
+            answer, pivots = _bland_tableau(lp, _fewest_blocks_first(lp))
             assert solve_lp(lp) == answer
+            (_x, tau), _steps = _bland_tableau(lp, lambda c: c)
+            assert tau == answer[1]
             steps.append(pivots)
         # About half the LPs pivot after the start, some many times.
         assert sum(1 for s in steps if s) > 80 and sum(steps) > 250
+
+
+class TestColdPivotCounts:
+    def test_cold_reductions_keep_their_exchange_counts(self, monkeypatch):
+        # The cold reductions of the benchmark grid (m <= 7, u_k = 1/2 +
+        # k/100), each one LP from the final-column start: solve_lp's order
+        # takes 325 exchanges over the grid and 50 on the 48-column (7, 5)
+        # relay, against 366 and 80 in the lowest-index order.
+        counts, calls, real = {}, [], lp_module._exchange
+        monkeypatch.setattr(lp_module, "_exchange", lambda *a: calls.append(1) or real(*a))
+        for m in range(2, 8):
+            for b in range(1, min(m - 1, 6) + 1):
+                inst = ProblemInstance(m, tuple(F(1, 2) + F(k, 100) for k in range(b)))
+                before = len(calls)
+                reduce_schedule(relay_reference(inst).matrix, inst)
+                counts[m, b] = len(calls) - before
+        assert len(counts) == 21
+        assert sum(counts.values()) <= 325
+        assert counts[7, 5] <= 50
 
 
 @st.composite
