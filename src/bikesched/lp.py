@@ -23,7 +23,12 @@ moves along an edge until the nearest blocker meets its constraint:
   It walks only the pickup rows that can block it: a handover whose picker
   is nowhere faster than its dropper before it is *implied*, a nonnegative
   sum of x_k >= 0 rows, which adds no rank and never blocks first
-  (``_blocking``).
+  (``_blocking``).  The reduction's slide of a wide matrix holds its
+  columns from a given one on at their lengths: their rows x_j >= 0 enter
+  the echelon first, so they never move or block, and the slide stops at a
+  vertex of the LP with them fixed.  Its rank still leaves a zero column
+  or an equal-time handover among the others, as long as more columns are
+  free than there are agents (``_slide``).
 - **Exchange.**  ``solve_lp``'s echelon writes x and tau over the working
   rows' slacks w (w_j = x_j, w_sum = sum x).  It starts, in closed form,
   at the vertex with all length in the last column, which meets every
@@ -448,13 +453,26 @@ def vertex_from_point(
     return _answer(v, den)
 
 
-def _slide(lp: PartitionLP, v: list[int], den: int) -> tuple[list[int], int]:
+def _slide(
+    lp: PartitionLP, v: list[int], den: int, fixed: Optional[int] = None
+) -> tuple[list[int], int]:
     """``vertex_from_point`` on ints: the point ``v`` = (x, tau) over
     ``den`` slides to a vertex, returned the same way.  Only the handover
     rows that can block it are walked (``_blocking``); the steps, the
-    echelon and the vertex are those of the walk over every row."""
+    echelon and the vertex are those of the walk over every row.
+
+    Columns ``fixed`` .. n - 1, if any, hold their lengths: the echelon
+    takes in their rows x_j >= 0 first (``_tight_echelon``), so no step
+    moves them and, never falling, none of them blocks.  The point slides
+    to a vertex of the LP with those lengths fixed, where n + 1 independent
+    rows are tight: the n - fixed fixed columns' own, the sum row, at most
+    m agent rows and so at least fixed - m zero columns or equal-time
+    handovers, one for the reduction's next sweep to remove when fixed > m.
+    From a point where the sum row and all m agent rows are tight, as at a
+    relay level's start, the slide has fixed - m free directions, not
+    n - m.  ``vertex_from_point`` fixes none."""
     lp = _blocking(lp)
-    return _walk(lp, *_tight_echelon(lp, v), den)
+    return _walk(lp, *_tight_echelon(lp, v, fixed), den)
 
 
 def _blocking(lp: PartitionLP) -> PartitionLP:
@@ -470,7 +488,10 @@ def _blocking(lp: PartitionLP) -> PartitionLP:
     a positive coefficient reaches 0 at the same step, so the row is
     absorbed after them, as a dependent row.  It never blocks a slide
     first, and dropping it changes no step, no echelon and no denominator
-    (its value is an integer combination of the point's coordinates).  The
+    (its value is an integer combination of the point's coordinates).  With
+    columns held fixed (``_slide``) this stays exact: a fixed column never
+    falls, so a row with a positive coefficient on a fixed positive column
+    never reaches 0, and a fixed column at 0 is in the echelon first.  The
     full ``switches`` stay in every other use of the LP (its checks,
     ``solve_lp``, the oracle and the reduction's progress measure)."""
     s = lp.speeds
@@ -478,13 +499,19 @@ def _blocking(lp: PartitionLP) -> PartitionLP:
     return PartitionLP(lp.n, s, lp.scale, switches)
 
 
-def _tight_echelon(lp: PartitionLP, v: list[int]) -> tuple[tuple, list[int]]:
+def _tight_echelon(
+    lp: PartitionLP, v: list[int], fixed: Optional[int] = None
+) -> tuple[tuple, list[int]]:
     """The echelon of the constraints tight at the integer point ``v`` (any
     positive multiple of (x, tau)) and the state there (v, then every
-    ``row_values`` row).  The sum row, index n, is always tight."""
+    ``row_values`` row).  The sum row, index n, is always tight.  The rows
+    x_j >= 0 of the columns ``fixed`` .. n - 1 come first, tight or not:
+    on an empty echelon each absorb only drops column j's slot."""
     n = lp.n
     state = v + lp.row_values(v)
     echelon = ([], [], [], list(range(n + 1)))
+    for j in range(n if fixed is None else fixed, n):
+        _absorb(echelon, lp.row(j))
     for j, value in enumerate(state):
         if value == 0 or j == n:
             _absorb(echelon, lp.row(j))
@@ -498,7 +525,10 @@ def _absorb(echelon: tuple, row) -> None:
     unless it is then zero (dependent on the echelon) it pivots on its first
     nonzero free column."""
     tight, heads, pivots, free = echelon
-    hits = [(piv, h, row[col]) for piv, h, col in zip(tight, heads, pivots) if row[col]]
+    # An all-zero row, of a held or zeroed column, eliminates nothing.
+    hits = [
+        (piv, h, row[col]) for piv, h, col in zip(tight, heads, pivots) if row[col] and any(piv)
+    ]
     scale = lcm(*[h for _piv, h, _f in hits])
     out = [scale * row[c] for c in free]
     for piv, h, f in hits:

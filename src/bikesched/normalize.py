@@ -10,7 +10,10 @@ schedules, every completion time kept), ``reduce_schedule`` and
 ``reduce_schedule`` alternates sweeps, of its input and then of each LP
 vertex, with slides to a vertex, and stops at the first sweep with at most
 as many columns as agents; a vertex with more has a column for the next
-sweep to delete or a handover for it to swap away.
+sweep to delete or a handover for it to swap away.  A round over more than
+W = floor(5m/2) columns slides only its first W and holds the rest at their
+lengths: a vertex with those fixed still has at least W - m > 0 such rows
+among its n + 1 tight ones, and the slide frees far fewer directions.
 """
 
 from __future__ import annotations
@@ -173,6 +176,32 @@ def reduce_schedule(
     its own LP.  The rounds carry the point (x, tau) as ints over one
     denominator; Fractions are built once, for the answer.
 
+    A round whose swept matrix has more than W = floor(5m/2) columns (m =
+    ``inst.agents``) slides with columns W .. n - 1 held at their current
+    lengths (``_slide``'s ``fixed``); narrower rounds fix none.  The window
+    keeps what the size argument needs:
+
+    - Every step is still a step of the LP's walk from a feasible point: it
+      keeps the point feasible and never raises tau.  The round's
+      ``_satisfies`` and tau checks below stay.
+    - At a vertex with columns W on fixed, n + 1 independent rows are
+      tight: the n - W fixed columns, the sum row, at most m agent rows and
+      so at least W - m >= 1 zero columns or equal-time handovers (the
+      swept fixed columns are positive, so those zero columns lie before
+      W).  The sweep therefore still strictly lowers (columns, handovers),
+      and the same progress check holds it to that.
+    - ``lp._blocking``'s skip of implied handover rows stays exact: an
+      implied row with a positive coefficient on a fixed column, which is
+      positive, never reaches 0.
+
+    Why floor(5m/2): a slide's cost grows steeply with its free
+    directions, n - m from a point where every agent row is tight, as at
+    the start of a spliced relay level (47 columns at m = 12, 211 at
+    m = 24); the window caps them at floor(3m/2).  Widths 2m, 5m/2 and 3m
+    all cut a relay ``solve_bs`` at (24, 12) about threefold, 2m the most
+    (by 5-17 % over 5m/2 from m = 16 on), but at m = 12, the benchmark's
+    largest relay rung, 5m/2 is fastest and 2m or 3m costs 5-7 % more.
+
     A zero column costs no round: the next sweep deletes it.  An equal-time
     handover does, because its suffix swap leaves a point that is no longer
     a vertex.  The slide shrinks its free column whenever tau stays put,
@@ -196,6 +225,7 @@ def reduce_schedule(
     x, x_den = _integral(start.partition)
     scale = den // x_den
     x, tau = [a * scale for a in x], max([row[-1] for row in partial])
+    window = 5 * inst.agents // 2
     prev_measure = None
     while True:
         # The input, then each vertex: at a vertex some agent row is tight, so
@@ -210,7 +240,7 @@ def reduce_schedule(
             raise ContractError("reduction stopped making progress")
         prev_measure = measure
         lp = _partition_lp(matrix, inst, switches)
-        v, v_den = _slide(lp, x + [tau], den)
+        v, v_den = _slide(lp, x + [tau], den, min(len(x), window))
         if not _satisfies(lp, v, v_den):
             raise ContractError("the vertex leaves the feasible region")
         if v[-1] * den > tau * v_den:

@@ -250,9 +250,9 @@ class TestReduce:
         calls = []
         sweeps = []
 
-        def spy(lp, v, den, _real=nz._slide):
+        def spy(lp, v, den, fixed, _real=nz._slide):
             calls.append(lp.n)
-            return _real(lp, v, den)
+            return _real(lp, v, den, fixed)
 
         def sweep_spy(x, rows, inst_, _real=nz._sweep):
             sweeps.append(len(x))
@@ -322,8 +322,8 @@ class TestReduce:
         # columns for 4 agents, so the reduction slides.
         import bikesched.normalize as nz
 
-        def overshoot(lp, v, den, _real=nz._slide):
-            w, w_den = _real(lp, v, den)
+        def overshoot(lp, v, den, fixed, _real=nz._slide):
+            w, w_den = _real(lp, v, den, fixed)
             return [2 * a * den - b * w_den for a, b in zip(w, v)], den * w_den
 
         monkeypatch.setattr(nz, "_slide", overshoot)
@@ -382,16 +382,23 @@ class TestReduce:
         assert several >= 2
 
 
-def full_slide(lp, v, den):
+def _window(m):
+    """The widest round ``reduce_schedule`` slides in full at m agents."""
+    return 5 * m // 2
+
+
+def full_slide(lp, v, den, fixed=None):
     """``lp._slide`` over every handover row, implied ones included."""
-    return lp_mod._walk(lp, *lp_mod._tight_echelon(lp, v), den)
+    return lp_mod._walk(lp, *lp_mod._tight_echelon(lp, v, fixed), den)
 
 
-def reference_reduce(matrix, inst, initial=None):
+def reference_reduce(matrix, inst, initial=None, windowed=True):
     """``reduce_schedule`` from public parts, with slides over every
     handover row: ``standardize`` (which checks each vertex's feasibility)
     until the schedule has at most m columns, with a full slide of each
-    standardized schedule in between."""
+    standardized schedule in between.  Unless ``windowed`` is false, a
+    slide of more than floor(5m/2) columns holds the columns from there on
+    fixed."""
     if initial is None:
         initial, _ = solve_partition(matrix, inst)
     s = Schedule(tuple(initial), matrix)
@@ -400,7 +407,8 @@ def reference_reduce(matrix, inst, initial=None):
         if s.size <= inst.agents:
             return s
         tau = completion_profile(s, inst).makespan
-        v, v_den = full_slide(build_lp(s.matrix, inst), *_integral((*s.partition, tau)))
+        fixed = min(s.size, _window(inst.agents)) if windowed else None
+        v, v_den = full_slide(build_lp(s.matrix, inst), *_integral((*s.partition, tau)), fixed)
         s = Schedule(_fractions(v[:-1], v_den), s.matrix)
 
 
@@ -432,9 +440,9 @@ class TestEarlyExits:
     @staticmethod
     def check_slides(monkeypatch):
         # Every slide the reduction makes agrees with the full slide.
-        def checked(lp, v, den, _real=nz._slide):
-            out = _real(lp, v, den)
-            assert out == full_slide(lp, v, den)
+        def checked(lp, v, den, fixed, _real=nz._slide):
+            out = _real(lp, v, den, fixed)
+            assert out == full_slide(lp, v, den, fixed)
             return out
 
         monkeypatch.setattr(nz, "_slide", checked)
@@ -488,3 +496,111 @@ class TestEarlyExits:
             assert lp_mod.vertex_from_point(lp, half, tau) == lp_mod._answer(
                 *full_slide(lp, *_integral((*half, tau)))[:2]
             )
+
+
+def _wide_matrix(rng, inst, n):
+    """A full matrix on which n equal lengths are feasible: column by
+    column, a bike goes on only to an agent who reaches the column no
+    sooner than its last rider.  Bikes of the latest riders go first, so
+    some agent is always left for each."""
+    m, b = inst.agents, inst.bikes
+    speed = (F(1),) + inst.inverse_speeds
+    rider = rng.sample(range(m), b)
+    reach = [F(0)] * m
+    cols = []
+    for _ in range(n):
+        col = [0] * m
+        for bike in sorted(range(b), key=lambda k: -reach[rider[k]]):
+            last = reach[rider[bike]]
+            rider[bike] = rng.choice([p for p in range(m) if not col[p] and reach[p] >= last])
+            col[rider[bike]] = bike + 1
+        cols.append(col)
+        reach = [t + speed[label] for t, label in zip(reach, col)]
+    return ScheduleMatrix(tuple(zip(*cols)))
+
+
+class TestWindow:
+    """A reduction round over more than floor(5m/2) columns slides with the
+    columns from there on held at their lengths; narrower rounds and
+    ``vertex_from_point`` hold none."""
+
+    @staticmethod
+    def watch(monkeypatch):
+        # Every slide fixes exactly the columns from the window on, and
+        # those keep their lengths; returns the (columns, fixed) of each.
+        calls = []
+
+        def spy(lp, v, den, fixed, _real=nz._slide):
+            w, w_den = _real(lp, v, den, fixed)
+            assert fixed == min(lp.n, _window(lp.agents))
+            assert [a * w_den for a in v[fixed:-1]] == [a * den for a in w[fixed:-1]]
+            calls.append((lp.n, fixed))
+            return w, w_den
+
+        monkeypatch.setattr(nz, "_slide", spy)
+        return calls
+
+    def test_relay_levels(self, monkeypatch):
+        # relay-ladder's top rung: its 47-column top level meets a
+        # 30-column window.  Every level ties at the average bound with and
+        # without the window.
+        inst = ProblemInstance(12, tuple([F(1, 3) + F(k, 60) for k in range(6)]))
+        calls = self.watch(monkeypatch)
+        levels = []
+
+        def spy(matrix, sub, initial=None, _real=nz.reduce_schedule):
+            out = _real(matrix, sub, initial)
+            levels.append((out, reference_reduce(matrix, sub, initial, windowed=False), sub))
+            return out
+
+        monkeypatch.setattr(bs, "reduce_schedule", spy)
+        red = relay_schedule(inst)
+        assert any(n > fixed for n, fixed in calls)
+        assert any(n == fixed for n, fixed in calls)
+        for out, full, sub in levels:
+            assert out.size <= sub.agents
+            assert completion_profile(out, sub).makespan == completion_profile(full, sub).makespan
+        assert red.size <= inst.agents
+        assert completion_profile(red, inst).makespan == average_bound(inst)
+
+    def test_random_wide_matrices(self, rng, monkeypatch):
+        # From n equal lengths, which are feasible but no vertex, the
+        # reduction matches its reference from public parts, window
+        # included; draw until four reductions took a windowed slide.
+        windowed = 0
+        for _ in range(200):
+            if windowed == 4:
+                break
+            inst = random_instance(rng, min_agents=2, max_agents=5)
+            if inst.bikes == 0:
+                continue
+            n = _window(inst.agents) + 12
+            matrix = _wide_matrix(rng, inst, n)
+            start = (F(1, n),) * n
+            tau = completion_profile(Schedule(start, matrix), inst).makespan
+            with pytest.MonkeyPatch.context() as mp:
+                calls = self.watch(mp)
+                out = reduce_schedule(matrix, inst, start)
+            assert out == reference_reduce(matrix, inst, start)
+            assert out.size <= inst.agents
+            assert is_standard_form(out, inst)
+            assert completion_profile(out, inst).makespan <= tau
+            windowed += any(n > fixed for n, fixed in calls)
+        assert windowed == 4
+
+    def test_vertex_from_point_fixes_nothing(self, rng):
+        # A wide LP's point slides to a vertex of the whole LP.
+        checked = 0
+        while checked < 5:
+            inst = random_instance(rng, min_agents=2, max_agents=5)
+            if inst.bikes == 0:
+                continue
+            n = _window(inst.agents) + 12
+            matrix = _wide_matrix(rng, inst, n)
+            start = (F(1, n),) * n
+            lp = build_lp(matrix, inst)
+            tau = completion_profile(Schedule(start, matrix), inst).makespan
+            x, t = lp_mod.vertex_from_point(lp, start, tau)
+            assert lp_mod.is_vertex(lp, x, t)
+            assert t <= tau
+            checked += 1

@@ -71,6 +71,8 @@ results = [
     reduce_schedule(relay_reference(quad).matrix, quad),
     reduce_schedule(relay, pair, initial=x),  # within m at its first sweep
     relay_schedule(ProblemInstance(8, tuple([F(1, 3) + F(k, 40) for k in range(4)]))),
+    # A 47-column top level against a 30-column window: a windowed slide.
+    relay_schedule(ProblemInstance(12, tuple([F(1, 3) + F(k, 60) for k in range(6)]))),
     brute_force_rbs(ProblemInstance(2, (F(1, 2), F(4, 5)), abandonment_limit=1)),
     remove_all_waits(Schedule(
         (F(1, 2), F(1, 2)), ScheduleMatrix(((1, 2), (2, 0), (0, 1))),
